@@ -71,7 +71,6 @@ func main() {
 	sizes := flag.String("sizes", "", "comma-separated sizes for ad-hoc sweeps (e.g. 32K,1M,8M)")
 	iters := flag.Int("iters", 3, "measured iterations per point")
 	parallel := flag.Int("parallel", 1, "concurrent measurement cells; output is byte-identical at any level")
-	intraPar := flag.Bool("intra-parallel", true, "partition eligible cluster cells across engines (Chandy–Misra windows); output is byte-identical either way")
 	asJSON := flag.Bool("json", false, "emit figures as JSON instead of tables")
 	comps := flag.String("comps", "", "comma-separated components for ad-hoc sweeps (default: the paper's five); options: Tuned-SM, Tuned-KNEM, MPICH2-SM, MPICH2-KNEM, KNEM-Coll, Basic-SM, SM-Coll")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for probabilistic fault draws (reproducible schedules)")
@@ -89,7 +88,6 @@ func main() {
 	flag.Parse()
 	jsonOut = *asJSON
 	bench.SetParallel(*parallel)
-	bench.SetParallelIntra(*intraPar)
 	cached, err := bench.EnableDefaultCache("imb", *noCache, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imb:", err)

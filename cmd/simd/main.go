@@ -113,6 +113,10 @@ func splitNonEmpty(s string) []string {
 	return strings.Split(s, ",")
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow or idle connections cannot hold the daemon's sockets.
+const readHeaderTimeout = 10 * time.Second
+
 // serveUntilSignal runs the daemon until SIGINT/SIGTERM, then drains:
 // in-flight requests get up to 30s to finish before the listener dies.
 // With a warm file, the serving cache is preloaded from it on boot and
@@ -129,7 +133,7 @@ func serveUntilSignal(addr string, opts serve.Options, cached bool, warmFile str
 		}
 		fmt.Fprintf(os.Stderr, "simd: warm start: %d cells preloaded from %s\n", n, warmFile)
 	}
-	srv := &http.Server{Addr: addr, Handler: api.Handler()}
+	srv := &http.Server{Addr: addr, Handler: api.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "simd: serving on %s (cache %s)\n", addr, onOff(cached))
@@ -224,7 +228,7 @@ func bootLocal(opts serve.Options) (*serve.Server, string, func(), error) {
 		return nil, "", nil, err
 	}
 	api := serve.New(opts)
-	srv := &http.Server{Handler: api.Handler()}
+	srv := &http.Server{Handler: api.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln)
 	return api, "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }

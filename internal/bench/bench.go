@@ -60,8 +60,7 @@ type Comp struct {
 	Key string
 	// Cluster is set by Hier/HierCfg: the compiled cluster the component
 	// runs over. The harness uses it to scope cache coherence to nodes
-	// (memsim coherence islands) and to partition the cell for intra-cell
-	// parallel execution. Nil for single-machine components.
+	// (memsim coherence islands). Nil for single-machine components.
 	Cluster *topology.Cluster
 }
 
@@ -305,34 +304,15 @@ func MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
 	return res, err
 }
 
-// simulate runs cfg's cell for real on a pooled engine shard, choosing
-// intra-cell parallel execution when the cell is inside the proven
-// envelope (parallelEligible) and the package toggle allows it. The two
-// modes produce byte-identical results — same Seconds, same Stats — so
-// the choice is invisible to the memo cache. cfg must already have NP and
-// Iters defaulted and dec resolved.
+// simulate runs cfg's cell for real on a pooled engine shard. cfg must
+// already have NP and Iters defaulted and dec resolved.
 func simulate(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
-	if ParallelIntra() && parallelEligible(cfg, dec) {
-		res, ok, err := simulateParallel(ctx, cfg, dec)
-		if err != nil || ok {
-			return res, err
-		}
-		// The post-run audit rejected the partitioning: the parallel
-		// result was discarded, re-run serially (the result stays exact).
-	}
-	return simulateSerial(ctx, cfg, dec)
-}
-
-// simulateSerial runs cfg's cell on a single leased engine.
-func simulateSerial(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
 	stats := &trace.Stats{}
 	sh := acquireShard()
 	defer releaseShard(sh)
 	eng, net := sh.lease(cfg.Machine, stats)
 	// Cluster cells scope hardware coherence to nodes: no real fabric
-	// snoops across machines, and the same islands make the intra-cell
-	// partitioning of parallel runs sound (serial and parallel runs both
-	// use them, so the mode cannot change a timestamp).
+	// snoops across machines.
 	net.SetClusterIslands(cfg.Comp.Cluster)
 	// Carved after the lease so a warmed shard serves it from its arena.
 	perRank := sim.SlicesFor[float64](eng.Arena()).Make(cfg.NP)
@@ -367,9 +347,10 @@ func simulateSerial(ctx context.Context, cfg Config, dec *tune.Decider) (Result,
 
 // benchBody builds the per-rank SPMD body of one measurement cell: the
 // IMB protocol of barrier / optional off-cache flush / timed operation,
-// one warm-up iteration, max-over-ranks timing into perRank. stats is the
-// serial run's shared sink; cluster cells never touch it (see below), so
-// parallel runs pass nil.
+// one warm-up iteration, max-over-ranks timing into perRank. Keep it out
+// of simulate: written there as a literal, the closure raised the peak RSS
+// of a 10,240-rank cell by ~40 MB (about 4 KiB per rank coroutine, one
+// stack doubling) with identical heap allocations.
 func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Rank) {
 	return func(r *mpi.Rank) {
 		bufs := prepare(r, cfg)
@@ -385,12 +366,11 @@ func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Ra
 			// Measured counters exclude the warm-up on single machines:
 			// each rank re-zeroes the shared sink as it starts iteration 0
 			// and the last reset wins. Cluster cells keep the warm-up's
-			// counters instead: those resets fall at rank-staggered
-			// instants, so which increments survive the last one depends
-			// on a global interleaving that per-partition sinks cannot
-			// reproduce — with purely additive counters and no mid-run
-			// wipe, a parallel run's merged sinks equal the serial totals
-			// exactly. Timestamps are unaffected either way.
+			// counters instead: their ranks reach iteration 0 at instants
+			// staggered by the fabric, so a last-reset-wins sink would keep
+			// an interleaving-dependent slice of the warm-up, while whole-
+			// run totals are plain sums. Timestamps are unaffected either
+			// way; the cluster golden rows pin the totals.
 			if it == 0 && cfg.Comp.Cluster == nil {
 				stats.Reset()
 			}

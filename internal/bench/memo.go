@@ -94,10 +94,14 @@ func EnableCache(dir string) error {
 }
 
 // DisableCache turns run memoization off (the default). The in-memory
-// entries are dropped; disk entries are kept for future runs.
+// entries and the hit/miss/dedup counters are dropped, so a disabled
+// cache reports no hits; disk entries are kept for future runs.
 func DisableCache() {
 	memo.enabled.Store(false)
 	memo.mem.Clear()
+	memo.hits.Store(0)
+	memo.misses.Store(0)
+	memo.deduped.Store(0)
 }
 
 // EnableDefaultCache turns on run memoization (unless noCache), using dir

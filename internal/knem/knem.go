@@ -85,33 +85,20 @@ type Region struct {
 // Len returns the total byte length of the region.
 func (r *Region) Len() int64 { return r.total }
 
-// table is the region state of one driver instance: the cookie map, the
-// cookie counter, and the free list of destroyed Regions. It is a separate
-// object so partitioned worlds can link several Modules — one per engine —
-// over one table: regions registered through any linked module resolve
-// through all of them, like processes of one node sharing one /dev/knem.
-// Mutation (Create/Destroy) must stay on a single engine at a time; linked
-// readers on other engines are ordered by the conservative window barrier
-// that also orders the data they copy.
-type table struct {
-	regions    map[Cookie]*Region
-	next       Cookie
-	regionPool []*Region
-}
-
 // Module is one node's KNEM driver instance.
 type Module struct {
-	net   *memsim.Net
-	stats *trace.Stats
-	tab   *table
-	inj   *fault.Injector
+	net     *memsim.Net
+	stats   *trace.Stats
+	regions map[Cookie]*Region
+	next    Cookie
+	inj     *fault.Injector
 
-	// viewPool recycles the per-copy view scratch slices used by
-	// slice/resolve. View slices are per-call (taken on entry, returned on
-	// exit) because Copy parks mid-call and concurrent copies interleave; a
-	// single shared scratch would be clobbered. The pool is per-module (not
-	// per-table) so linked modules on different engines never contend.
-	viewPool [][]memsim.View
+	// Free lists: destroyed Regions and the per-copy view scratch slices
+	// used by slice/resolve. View slices are per-call (taken on entry,
+	// returned on exit) because Copy parks mid-call and concurrent copies
+	// interleave; a single shared scratch would be clobbered.
+	regionPool []*Region
+	viewPool   [][]memsim.View
 }
 
 // SetInjector attaches a fault injector; nil (the default) disables
@@ -128,45 +115,28 @@ func (m *Module) Injector() *fault.Injector { return m.inj }
 func New(net *memsim.Net) *Module {
 	m := sim.SlabFor[Module](net.Engine().Arena()).Get()
 	m.net, m.stats = net, net.Stats()
-	m.inj = nil
-	if m.tab == nil {
-		m.tab = &table{}
-	}
-	m.tab.next = 0
-	if m.tab.regions == nil {
-		m.tab.regions = make(map[Cookie]*Region)
-	} else if len(m.tab.regions) > 0 {
+	m.next, m.inj = 0, nil
+	if m.regions == nil {
+		m.regions = make(map[Cookie]*Region)
+	} else if len(m.regions) > 0 {
 		// Regions left live by the previous run (leaked cookies) feed the
 		// free list; recycle order is map-random but Regions are
 		// indistinguishable once zeroed, so determinism is unaffected.
-		for c, r := range m.tab.regions {
-			delete(m.tab.regions, c)
+		for c, r := range m.regions {
+			delete(m.regions, c)
 			m.freeRegion(r)
 		}
 	}
 	return m
 }
 
-// NewLinked attaches a module to a memory partition, sharing base's region
-// table: cookies created through either module resolve through both. Used
-// by partitioned worlds, where each engine drives copies through its own
-// module (own stats, own scratch) against node-shared regions. The caller
-// must keep region mutation on one engine per window; see table.
-func NewLinked(net *memsim.Net, base *Module) *Module {
-	m := sim.SlabFor[Module](net.Engine().Arena()).Get()
-	m.net, m.stats = net, net.Stats()
-	m.inj = nil
-	m.tab = base.tab
-	return m
-}
-
 // newRegion takes a Region from the pool (segs capacity preserved) or
 // allocates one.
 func (m *Module) newRegion() *Region {
-	if k := len(m.tab.regionPool); k > 0 {
-		r := m.tab.regionPool[k-1]
-		m.tab.regionPool[k-1] = nil
-		m.tab.regionPool = m.tab.regionPool[:k-1]
+	if k := len(m.regionPool); k > 0 {
+		r := m.regionPool[k-1]
+		m.regionPool[k-1] = nil
+		m.regionPool = m.regionPool[:k-1]
 		return r
 	}
 	return &Region{}
@@ -179,7 +149,7 @@ func (m *Module) freeRegion(r *Region) {
 		r.segs[i] = memsim.View{}
 	}
 	*r = Region{segs: segs}
-	m.tab.regionPool = append(m.tab.regionPool, r)
+	m.regionPool = append(m.regionPool, r)
 }
 
 // getViews takes a scratch view slice from the pool; putViews returns it.
@@ -204,7 +174,7 @@ func (m *Module) putViews(vs []memsim.View) {
 func (m *Module) Net() *memsim.Net { return m.net }
 
 // ActiveRegions returns the number of live regions (leak checks in tests).
-func (m *Module) ActiveRegions() int { return len(m.tab.regions) }
+func (m *Module) ActiveRegions() int { return len(m.regions) }
 
 func (m *Module) trap(p *sim.Proc) {
 	m.stats.KernelTraps++
@@ -239,11 +209,11 @@ func (m *Module) Create(p *sim.Proc, owner int, views []memsim.View, dir Directi
 		}
 	}
 	p.Wait(float64(pages) * m.net.Machine().Spec.PinPerPage)
-	m.tab.next++
+	m.next++
 	r := m.newRegion()
-	r.cookie, r.owner, r.dir, r.total, r.pages = m.tab.next, owner, dir, total, pages
+	r.cookie, r.owner, r.dir, r.total, r.pages = m.next, owner, dir, total, pages
 	r.segs = append(r.segs, views...)
-	m.tab.regions[r.cookie] = r
+	m.regions[r.cookie] = r
 	m.stats.Registrations++
 	return r.cookie, nil
 }
@@ -260,11 +230,11 @@ func (m *Module) CreateView(p *sim.Proc, owner int, v memsim.View, dir Direction
 // Destroy deregisters a region.
 func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 	m.trap(p)
-	r, ok := m.tab.regions[c]
+	r, ok := m.regions[c]
 	if !ok {
 		return ErrInvalidCookie
 	}
-	delete(m.tab.regions, c)
+	delete(m.regions, c)
 	if m.inj != nil {
 		m.inj.Release(r.pages)
 	}
@@ -275,11 +245,11 @@ func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 // invalidate tears a region down behind its users' backs (injected cookie
 // invalidation); the next access observes ErrInvalidCookie.
 func (m *Module) invalidate(c Cookie) {
-	r, ok := m.tab.regions[c]
+	r, ok := m.regions[c]
 	if !ok {
 		return
 	}
-	delete(m.tab.regions, c)
+	delete(m.regions, c)
 	m.inj.Release(r.pages)
 	m.freeRegion(r)
 	m.stats.Invalidations++
@@ -451,7 +421,7 @@ func (m *Module) resolve(local []memsim.View, c Cookie, remoteOff int64, dir Dir
 	case dir != DirRead && dir != DirWrite:
 		err = fmt.Errorf("knem: copy must be exactly DirRead or DirWrite")
 	default:
-		r, ok := m.tab.regions[c]
+		r, ok := m.regions[c]
 		switch {
 		case !ok:
 			err = ErrInvalidCookie

@@ -82,21 +82,6 @@ type Net struct {
 	// what a write invalidates. Nil means one island spanning the machine.
 	islGroupLo, islGroupHi []int32
 	islDomLo, islDomHi     []int32
-
-	// Intra-cell partition state (NewPartition). linkLo/linkHi bound the
-	// solver's link loops; a guarded partition additionally panics if a
-	// flow strays outside its slice, and records every flow's simulated
-	// interval for the post-run soundness audit. bufBase keeps partition
-	// buffer IDs disjoint. foreignRanges/foreignSpans are the fabric-side
-	// audit state: intervals of fabric flows that crossed into a node's
-	// link slice, per node.
-	linkLo, linkHi int
-	linkGuard      bool
-	recordSpans    bool
-	bufBase        int64
-	spans          []FlowSpan
-	foreignRanges  [][2]int32
-	foreignSpans   [][]FlowSpan
 }
 
 // linkUse is one link crossed by a flow; mult > 1 when the flow crosses the
@@ -163,9 +148,6 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	n.linkNames = names
 	stats.SetLinkNames(names)
 	for _, g := range m.Groups {
-		// One entry pool per group (not per Net): partitions of one cell
-		// share the groupCache objects, so a shared pool would couple
-		// engines through its free list.
 		n.caches = append(n.caches, newGroupCache(g, &entryPool{}))
 	}
 	nv := 0
@@ -200,7 +182,6 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	n.useMult = make([]float64, nl)
 	n.onCompletionFn = n.onCompletion
 	n.repriceFn = n.flushReprice
-	n.linkLo, n.linkHi = 0, nl
 	return n
 }
 
@@ -239,10 +220,6 @@ func (n *Net) Reset(stats *trace.Stats) {
 	n.nextBuf, n.flowSeq = 0, 0
 	n.repricePending, n.needSolve = false, false
 	n.rateSolves = 0
-	n.spans = n.spans[:0]
-	for i := range n.foreignSpans {
-		n.foreignSpans[i] = n.foreignSpans[i][:0]
-	}
 	for i := range n.linkWeight {
 		n.linkWeight[i] = 0
 	}
@@ -460,13 +437,6 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 		f.uses = append(f.uses, linkUse{link: n.mach.Links[i], idx: i, mult: n.useMult[i]})
 	}
 	n.useOrder = n.useOrder[:0]
-	if n.linkGuard {
-		for _, u := range f.uses {
-			if u.idx < n.linkLo || u.idx >= n.linkHi {
-				panic(fmt.Sprintf("memsim: partition flow crosses out-of-slice link %s", u.link.Name))
-			}
-		}
-	}
 
 	n.stats.Copies++
 	n.stats.BytesCopied += src.Len
@@ -699,10 +669,8 @@ func (n *Net) flushReprice() {
 // depletion. It is called only when f's rate is about to change (and on
 // f's own completion), never because some unrelated flow started or
 // finished — so a flow's floating-point accumulation is chopped exactly
-// at its own rate-change instants. Rate changes only propagate over
-// shared links, which makes those instants identical whether the Net
-// spans the whole machine or one partition of it: the property that keeps
-// intra-cell parallel runs bit-identical to single-engine runs. A flow
+// at its own rate-change instants, and a flow change costs work only for
+// the flows whose rates it moves, not a pass over every live flow. A flow
 // may land fractionally below zero because its completion instant was
 // computed in floating point; anything beyond finishEps of overshoot
 // means the scheduler lost track of it and is a bug, not drift, so it
@@ -797,9 +765,6 @@ func (n *Net) onCompletion() {
 		}
 	}
 	for _, f := range finished {
-		if n.recordSpans {
-			n.recordSpan(f)
-		}
 		n.finishFlow(f)
 	}
 	for i, f := range finished {
@@ -816,20 +781,15 @@ func (n *Net) onCompletion() {
 // persistent scratch arrays on Net, so the solver allocates nothing.
 func (n *Net) recomputeRates() {
 	n.rateSolves++
-	// A partition's flows only cross links in [linkLo, linkHi) (zero weight
-	// everywhere else), so the link loops scan just that slice; the whole
-	// machine for an unpartitioned Net. Restricting the scan changes no
-	// arithmetic — skipped links contribute nothing either way.
-	lo, nl := n.linkLo, n.linkHi
 	now := n.eng.Now()
 	fixedLoad, weight, saturated := n.wfFixed, n.wfWeight, n.wfSat
-	for i := lo; i < nl; i++ {
+	for i := range fixedLoad {
 		fixedLoad[i] = 0
 	}
 	// The working weights start from the incrementally maintained totals;
 	// multiplicities are small integers, so the running sum is exact and
 	// bit-identical to re-accumulating over the flows.
-	copy(weight[lo:nl], n.linkWeight[lo:nl])
+	copy(weight, n.linkWeight)
 	unfixed := len(n.flows)
 	for _, f := range n.flows {
 		f.fixed = false
@@ -837,7 +797,7 @@ func (n *Net) recomputeRates() {
 	for unfixed > 0 {
 		// Find the bottleneck share.
 		share := math.Inf(1)
-		for i := lo; i < nl; i++ {
+		for i := range weight {
 			if weight[i] <= 0 {
 				continue
 			}
@@ -854,7 +814,7 @@ func (n *Net) recomputeRates() {
 		}
 		// Identify the links saturated at this share, then fix every
 		// unfixed flow crossing one of them.
-		for i := lo; i < nl; i++ {
+		for i := range weight {
 			if weight[i] <= 0 {
 				saturated[i] = false
 				continue

@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -36,7 +37,11 @@ import (
 type Options struct {
 	// Machines resolves a request's machine name. Nil means the built-in
 	// evaluation platforms only (topology.ByName) — requests can never
-	// reach the filesystem.
+	// reach the filesystem. A Server resolves each known name once and
+	// reuses that machine for every later request: a Machine is read-only
+	// once built, and the pooled runner keeps one warmed memory system per
+	// machine pointer, so a fresh pointer per request would grow every
+	// shard by one memory system per simulated cell.
 	Machines func(name string) *topology.Machine
 	// Decisions backs GET /v1/decisions and steers measured cells exactly
 	// like imb -decisions (tables apply to matching machines).
@@ -75,6 +80,7 @@ func New(opts Options) *Server {
 	if opts.Machines == nil {
 		opts.Machines = topology.ByName
 	}
+	opts.Machines = resolveOnce(opts.Machines)
 	if opts.LRUSize <= 0 {
 		opts.LRUSize = 4096
 	}
@@ -96,6 +102,25 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/decisions", s.handleDecisions)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
+}
+
+// resolveOnce memoizes resolve per name. Unknown names (nil) are not
+// remembered, so requests naming arbitrary machines cannot grow the map.
+func resolveOnce(resolve func(string) *topology.Machine) func(string) *topology.Machine {
+	var mu sync.Mutex
+	known := map[string]*topology.Machine{}
+	return func(name string) *topology.Machine {
+		mu.Lock()
+		defer mu.Unlock()
+		if m, ok := known[name]; ok {
+			return m
+		}
+		m := resolve(name)
+		if m != nil {
+			known[name] = m
+		}
+		return m
+	}
 }
 
 // Handler returns the HTTP handler serving the /v1 API.
@@ -209,16 +234,10 @@ type StatsResponse struct {
 	// Shards is the measurement-shard pool's high-water footprint (arena
 	// bytes and slab counts) — the resident cost a warm simulation worker
 	// holds between cells.
-	Shards bench.ShardStats `json:"shards"`
-	// EngineGroups is the intra-cell parallel runner's pool-wide activity:
-	// engine-group leases, the high-water engine count, conservative time
-	// windows executed, the deepest cross-partition export queue seen in
-	// one window, and how often the post-run audit demoted a cell to a
-	// serial re-run.
-	EngineGroups bench.EngineGroupStats `json:"engine_groups"`
-	BatchLatency HistStats              `json:"batch_latency"`
-	CellLatency  HistStats              `json:"cell_latency"`
-	SimLatency   HistStats              `json:"sim_latency"`
+	Shards       bench.ShardStats `json:"shards"`
+	BatchLatency HistStats        `json:"batch_latency"`
+	CellLatency  HistStats        `json:"cell_latency"`
+	SimLatency   HistStats        `json:"sim_latency"`
 }
 
 // compsByName is the closed set of components a request may name.
@@ -368,12 +387,21 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf("simd: "+format, args...), code)
 }
 
+// maxBodyBytes bounds a batch or sweep request body. A MaxCells-sized
+// batch (4096 cells) with every field spelled out is about 0.4 MiB.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequest, []bench.Config, []CellResult, bool) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	req := &BatchRequest{}
 	if err := dec.Decode(req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
+		} else {
+			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
 		return nil, nil, nil, false
 	}
 	_, cfgs, echo, err := s.cellConfigs(req)
@@ -514,7 +542,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SimHits: simHits, SimMisses: simMisses, SimDeduped: bench.DedupedCount(),
 		},
 		Shards:       bench.Shards(),
-		EngineGroups: bench.EngineGroups(),
 		BatchLatency: s.histBatch.stats(),
 		CellLatency:  s.histCell.stats(),
 		SimLatency:   s.histSim.stats(),

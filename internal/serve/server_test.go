@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -201,28 +202,31 @@ func TestDecisionsEndpoint(t *testing.T) {
 	}
 }
 
-// TestValidation: every malformed request is a one-line 400 naming the
-// problem; nothing reaches the runner.
+// TestValidation: every malformed request is a one-line 4xx (400 unless
+// the row says otherwise) naming the problem; nothing reaches the runner.
 func TestValidation(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxCells: 8})
 	cases := []struct {
 		name string
 		body string
 		want string
+		code int
 	}{
-		{"empty body", `{}`, "no machine"},
-		{"unknown machine", `{"machine":"Cray-1","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1}]}`, `unknown machine "Cray-1"`},
-		{"no cells", `{"machine":"Zoot","cells":[]}`, "no cells"},
-		{"unknown comp", `{"machine":"Zoot","cells":[{"comp":"FTL","op":"bcast","size":1}]}`, `cell 0: unknown component "FTL"`},
-		{"unknown op", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"warp","size":1}]}`, `cell 0: unknown op "warp"`},
-		{"negative size", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":-1}]}`, "cell 0: negative size"},
-		{"np too big", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":512}]}`, "cell 0: np 512 out of range"},
-		{"bad root", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":4,"root":4}]}`, "cell 0: root 4 out of range"},
-		{"unknown field", `{"machine":"Zoot","threads":9}`, "bad request body"},
-		{"not json", `hello`, "bad request body"},
+		{"empty body", `{}`, "no machine", 0},
+		{"unknown machine", `{"machine":"Cray-1","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1}]}`, `unknown machine "Cray-1"`, 0},
+		{"no cells", `{"machine":"Zoot","cells":[]}`, "no cells", 0},
+		{"unknown comp", `{"machine":"Zoot","cells":[{"comp":"FTL","op":"bcast","size":1}]}`, `cell 0: unknown component "FTL"`, 0},
+		{"unknown op", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"warp","size":1}]}`, `cell 0: unknown op "warp"`, 0},
+		{"negative size", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":-1}]}`, "cell 0: negative size", 0},
+		{"np too big", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":512}]}`, "cell 0: np 512 out of range", 0},
+		{"bad root", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":4,"root":4}]}`, "cell 0: root 4 out of range", 0},
+		{"unknown field", `{"machine":"Zoot","threads":9}`, "bad request body", 0},
+		{"not json", `hello`, "bad request body", 0},
 		{"too many cells", fmt.Sprintf(`{"machine":"Zoot","cells":[%s]}`,
 			strings.TrimSuffix(strings.Repeat(`{"comp":"KNEM-Coll","op":"bcast","size":1},`, 9), ",")),
-			"9 cells exceeds the per-request limit of 8"},
+			"9 cells exceeds the per-request limit of 8", 0},
+		{"body too large", `{"machine":"Zoot"` + strings.Repeat(" ", maxBodyBytes) + `}`,
+			"request body exceeds the 1048576-byte limit", http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,8 +238,12 @@ func TestValidation(t *testing.T) {
 			var buf bytes.Buffer
 			buf.ReadFrom(resp.Body)
 			msg := strings.TrimSpace(buf.String())
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, body %q", resp.StatusCode, msg)
+			code := tc.code
+			if code == 0 {
+				code = http.StatusBadRequest
+			}
+			if resp.StatusCode != code {
+				t.Fatalf("status %d, want %d, body %q", resp.StatusCode, code, msg)
 			}
 			if !strings.Contains(msg, tc.want) {
 				t.Fatalf("error %q does not mention %q", msg, tc.want)
@@ -247,6 +255,65 @@ func TestValidation(t *testing.T) {
 	}
 	if s.histSim.total.Load() != 0 {
 		t.Fatalf("invalid requests reached the runner")
+	}
+}
+
+// TestMachineResolvedOnce: a server resolves each machine name once and
+// reuses that machine for every request, so a long-running daemon does not
+// grow its pooled runner by one memory system per simulated cell. Fresh
+// cells posted one by one and then concurrently (to a second server)
+// resolve the machine once per server and answer byte-identically.
+func TestMachineResolvedOnce(t *testing.T) {
+	bench.DisableCache()
+	var calls atomic.Int64
+	resolve := func(name string) *topology.Machine {
+		calls.Add(1)
+		return topology.ByName(name) // a new *Machine on every call
+	}
+	bodies := make([][]byte, 6)
+	for i := range bodies {
+		bodies[i] = mustJSON(t, BatchRequest{Machine: "Zoot", Cells: []CellSpec{
+			{Comp: "KNEM-Coll", Op: "bcast", Size: int64(4096 * (i + 1)), NP: 4, Iters: 1},
+		}})
+	}
+	ctx := context.Background()
+	_, seq := newTestServer(t, Options{Machines: resolve})
+	want := make([][]byte, len(bodies))
+	for i, b := range bodies {
+		var err error
+		if want[i], err = postCells(ctx, http.DefaultClient, seq.URL, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls.Swap(0); n != 1 {
+		t.Fatalf("sequential requests resolved the machine %d times, want 1", n)
+	}
+	_, con := newTestServer(t, Options{Machines: resolve})
+	got := make([][]byte, len(bodies))
+	errs := make([]error, len(bodies))
+	var wg sync.WaitGroup
+	for i, b := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = postCells(ctx, http.DefaultClient, con.URL, b)
+		}()
+	}
+	wg.Wait()
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("cell %d: concurrent body %s differs from sequential %s", i, got[i], want[i])
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("concurrent requests resolved the machine %d times, want 1", n)
+	}
+	def := New(Options{})
+	if def.opts.Machines("Zoot") != def.opts.Machines("Zoot") {
+		t.Fatal("default resolver built a new machine for a repeated name")
 	}
 }
 

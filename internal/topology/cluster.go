@@ -65,13 +65,6 @@ type ClusterNode struct {
 	NCores      int
 	FirstDomain int
 	NDomains    int
-	// FirstLink/NLinks is this node's contiguous slice of Global.Links:
-	// its interconnect edges, memory buses, cache ports, and core engine
-	// links, in replication order. Fabric links (switch uplinks and
-	// point-to-point links) come after every node's range. The intra-cell
-	// partitioner keys per-node memsim partitions off these ranges.
-	FirstLink int
-	NLinks    int
 	// FirstGroup/NGroups is the node's contiguous slice of Global.Groups
 	// (cache groups), used to scope cache-coherence scans per node.
 	FirstGroup int
@@ -97,23 +90,6 @@ type Cluster struct {
 
 // NNodes returns the number of nodes.
 func (c *Cluster) NNodes() int { return len(c.Nodes) }
-
-// Lookahead returns the conservative-window lookahead for intra-cell
-// parallel execution of this cluster: the minimum simulated latency of
-// any interaction that crosses a partition boundary. Partitions split
-// member ranks (per node) from the leader/fabric domain, and the only
-// cross-partition traffic is intra-node member↔leader control messages,
-// whose latency is Spec.CtrlLatency plus a non-negative path latency —
-// so CtrlLatency itself is the exact floor (fabric link latencies only
-// add on top for inter-node hops, which stay inside the fabric
-// partition). A zero control latency admits no conservative window and
-// is rejected with a one-line error.
-func (c *Cluster) Lookahead() (float64, error) {
-	if la := c.Global.Spec.CtrlLatency; la > 0 {
-		return la, nil
-	}
-	return 0, fmt.Errorf("cluster %s: zero ctrl latency leaves no lookahead for intra-cell parallelism", c.Name)
-}
 
 // NodeOfCore returns the index of the node owning the given global core.
 func (c *Cluster) NodeOfCore(core int) int { return c.nodeOfCore[core] }
@@ -232,7 +208,7 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 	nCores, nDomains := 0, 0
 	for i, ns := range cfg.Nodes {
 		m := machines[i]
-		firstLink, firstGroup := len(b.m.Links), len(b.m.Groups)
+		firstGroup := len(b.m.Groups)
 		vmap := make([]int, m.NVerts())
 		for v := range vmap {
 			vmap[v] = b.Vertex(fmt.Sprintf("%s/v%d", ns.Name, v))
@@ -265,8 +241,6 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 			NCores:      m.NCores(),
 			FirstDomain: nDomains,
 			NDomains:    len(m.Domains),
-			FirstLink:   firstLink,
-			NLinks:      len(b.m.Links) - firstLink,
 			FirstGroup:  firstGroup,
 			NGroups:     len(b.m.Groups) - firstGroup,
 			Gateway:     gw[i],

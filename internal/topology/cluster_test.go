@@ -67,8 +67,8 @@ func TestCompileCluster(t *testing.T) {
 				Links: []LinkSpec{{A: "n0", B: "n1", Name: "ib0", BW: 3e9, Lat: 50e-6}},
 			},
 			want: []*ClusterNode{
-				{Name: "n0", Index: 0, MachineName: "Saturn", FirstCore: 0, NCores: 16, FirstDomain: 0, NDomains: 2, FirstLink: 0, NLinks: 21, FirstGroup: 0, NGroups: 2, Gateway: 0},
-				{Name: "n1", Index: 1, MachineName: "Saturn", FirstCore: 16, NCores: 16, FirstDomain: 2, NDomains: 2, FirstLink: 21, NLinks: 21, FirstGroup: 2, NGroups: 2, Gateway: 2},
+				{Name: "n0", Index: 0, MachineName: "Saturn", FirstCore: 0, NCores: 16, FirstDomain: 0, NDomains: 2, FirstGroup: 0, NGroups: 2, Gateway: 0},
+				{Name: "n1", Index: 1, MachineName: "Saturn", FirstCore: 16, NCores: 16, FirstDomain: 2, NDomains: 2, FirstGroup: 2, NGroups: 2, Gateway: 2},
 			},
 			wantCores:    32,
 			wantDomains:  4,
@@ -83,10 +83,10 @@ func TestCompileCluster(t *testing.T) {
 				Switch: &SwitchSpec{Name: "sw0", BW: 1.25e9, Lat: 2e-6},
 			},
 			want: []*ClusterNode{
-				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstLink: 0, NLinks: 13, FirstGroup: 0, NGroups: 2, Gateway: 0},
-				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstLink: 13, NLinks: 13, FirstGroup: 2, NGroups: 2, Gateway: 2},
-				{Name: "n2", Index: 2, MachineName: "Dancer", FirstCore: 16, NCores: 8, FirstDomain: 4, NDomains: 2, FirstLink: 26, NLinks: 13, FirstGroup: 4, NGroups: 2, Gateway: 4},
-				{Name: "n3", Index: 3, MachineName: "Dancer", FirstCore: 24, NCores: 8, FirstDomain: 6, NDomains: 2, FirstLink: 39, NLinks: 13, FirstGroup: 6, NGroups: 2, Gateway: 6},
+				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstGroup: 0, NGroups: 2, Gateway: 0},
+				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstGroup: 2, NGroups: 2, Gateway: 2},
+				{Name: "n2", Index: 2, MachineName: "Dancer", FirstCore: 16, NCores: 8, FirstDomain: 4, NDomains: 2, FirstGroup: 4, NGroups: 2, Gateway: 4},
+				{Name: "n3", Index: 3, MachineName: "Dancer", FirstCore: 24, NCores: 8, FirstDomain: 6, NDomains: 2, FirstGroup: 6, NGroups: 2, Gateway: 6},
 			},
 			wantCores:    32,
 			wantDomains:  8,
@@ -107,7 +107,7 @@ func TestCompileCluster(t *testing.T) {
 					ns[i] = &ClusterNode{
 						Name: fmt.Sprintf("n%d", i), Index: i, MachineName: "Zoot",
 						FirstCore: 16 * i, NCores: 16, FirstDomain: i, NDomains: 1,
-						FirstLink: 29 * i, NLinks: 29, FirstGroup: 8 * i, NGroups: 8,
+						FirstGroup: 8 * i, NGroups: 8,
 						Gateway: 5 * i,
 					}
 				}
@@ -122,7 +122,7 @@ func TestCompileCluster(t *testing.T) {
 			name: "single node needs no fabric",
 			cfg:  ClusterConfig{Name: "solo", Nodes: nodes("Dancer")},
 			want: []*ClusterNode{
-				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstLink: 0, NLinks: 13, FirstGroup: 0, NGroups: 2, Gateway: 0},
+				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstGroup: 0, NGroups: 2, Gateway: 0},
 			},
 			wantCores:    8,
 			wantDomains:  2,
@@ -142,10 +142,10 @@ func TestCompileCluster(t *testing.T) {
 				},
 			},
 			want: []*ClusterNode{
-				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstLink: 0, NLinks: 13, FirstGroup: 0, NGroups: 2, Gateway: 0},
-				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstLink: 13, NLinks: 13, FirstGroup: 2, NGroups: 2, Gateway: 2},
-				{Name: "n2", Index: 2, MachineName: "Dancer", FirstCore: 16, NCores: 8, FirstDomain: 4, NDomains: 2, FirstLink: 26, NLinks: 13, FirstGroup: 4, NGroups: 2, Gateway: 4},
-				{Name: "n3", Index: 3, MachineName: "Dancer", FirstCore: 24, NCores: 8, FirstDomain: 6, NDomains: 2, FirstLink: 39, NLinks: 13, FirstGroup: 6, NGroups: 2, Gateway: 6},
+				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstGroup: 0, NGroups: 2, Gateway: 0},
+				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstGroup: 2, NGroups: 2, Gateway: 2},
+				{Name: "n2", Index: 2, MachineName: "Dancer", FirstCore: 16, NCores: 8, FirstDomain: 4, NDomains: 2, FirstGroup: 4, NGroups: 2, Gateway: 4},
+				{Name: "n3", Index: 3, MachineName: "Dancer", FirstCore: 24, NCores: 8, FirstDomain: 6, NDomains: 2, FirstGroup: 6, NGroups: 2, Gateway: 6},
 			},
 			wantCores:    32,
 			wantDomains:  8,
@@ -161,8 +161,8 @@ func TestCompileCluster(t *testing.T) {
 				Switch: &SwitchSpec{Name: "sw", BW: 1.25e9},
 			},
 			want: []*ClusterNode{
-				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstLink: 0, NLinks: 13, FirstGroup: 0, NGroups: 2, Gateway: 0},
-				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstLink: 13, NLinks: 13, FirstGroup: 2, NGroups: 2, Gateway: 2},
+				{Name: "n0", Index: 0, MachineName: "Dancer", FirstCore: 0, NCores: 8, FirstDomain: 0, NDomains: 2, FirstGroup: 0, NGroups: 2, Gateway: 0},
+				{Name: "n1", Index: 1, MachineName: "Dancer", FirstCore: 8, NCores: 8, FirstDomain: 2, NDomains: 2, FirstGroup: 2, NGroups: 2, Gateway: 2},
 			},
 			wantCores:    16,
 			wantDomains:  4,

@@ -83,35 +83,6 @@ func (s *Stats) Snapshot() Stats {
 	return out
 }
 
-// Merge folds other's counters into s. Every field is an additive total
-// (there are no gauges), so merging the per-partition sinks of an
-// intra-cell parallel run in partition order yields exactly the counters
-// a single shared sink would have accumulated. Both sinks' dense link
-// accumulators are flushed first; other is left flushed but otherwise
-// unchanged.
-func (s *Stats) Merge(other *Stats) {
-	s.FlushLinks()
-	other.FlushLinks()
-	s.Copies += other.Copies
-	s.BytesCopied += other.BytesCopied
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.KernelTraps += other.KernelTraps
-	s.Registrations += other.Registrations
-	s.CtrlMsgs += other.CtrlMsgs
-	s.FaultsInjected += other.FaultsInjected
-	s.CreateFaults += other.CreateFaults
-	s.CopyFaults += other.CopyFaults
-	s.DMAFaults += other.DMAFaults
-	s.Invalidations += other.Invalidations
-	s.Retries += other.Retries
-	s.Fallbacks += other.Fallbacks
-	s.Resends += other.Resends
-	for name, n := range other.LinkBytes {
-		s.AddLinkBytes(name, n)
-	}
-}
-
 // Reset zeroes every counter. The dense link accumulator keeps its shape
 // (names and capacity) so resetting mid-run costs nothing on the hot path.
 func (s *Stats) Reset() {
