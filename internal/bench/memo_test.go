@@ -44,6 +44,31 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDisableCacheResetsCounters: disabling the cache drops its counters
+// with its entries, so a later reader (a stats endpoint, the -v summary)
+// never reports hits left over from an earlier, disabled cache.
+func TestDisableCacheResetsCounters(t *testing.T) {
+	cfg := memoTestConfig(topology.Dancer(), 16*KiB)
+	if err := EnableCache(""); err != nil {
+		t.Fatal(err)
+	}
+	defer DisableCache()
+	MustMeasure(cfg)
+	MustMeasure(cfg)
+	if hits, misses := CacheCounts(); hits != 1 || misses != 1 {
+		t.Fatalf("enabled counts = %d hits, %d misses; want 1, 1", hits, misses)
+	}
+	DisableCache()
+	if hits, misses := CacheCounts(); hits != 0 || misses != 0 || DedupedCount() != 0 {
+		t.Fatalf("after DisableCache: %d hits, %d misses, %d deduped; want all 0",
+			hits, misses, DedupedCount())
+	}
+	MustMeasure(cfg)
+	if hits, misses := CacheCounts(); hits != 0 || misses != 0 {
+		t.Fatalf("disabled cache counted %d hits, %d misses; want 0, 0", hits, misses)
+	}
+}
+
 // TestCacheDiskRoundTrip drops the in-memory layer between two runs so the
 // second is served from the persistent entry, as a separate process would
 // be, and must replay identically.

@@ -55,3 +55,43 @@ func TestShardReuseBitIdentical(t *testing.T) {
 		t.Fatalf("sweep cell 0 %.17g s != direct measure %.17g s", seq[0].Seconds, want.Seconds)
 	}
 }
+
+// TestClusterCellsShareCompiledCluster runs the cluster cells of the golden
+// table concurrently on one compiled cluster, as a server does once it
+// resolves a machine a single time: the cluster is read-only after
+// compilation, so every cell, on a fresh shard and again on a reused one,
+// must match its sequential run bit for bit (the race detector covers the
+// sharing in -race runs).
+func TestClusterCellsShareCompiledCluster(t *testing.T) {
+	DisableCache()
+	cl := testCluster(t, 3)
+	cells := []struct {
+		name string
+		op   Op
+		size int64
+	}{
+		{"barrier", OpBarrier, 0},
+		{"bcast16k", OpBcast, 16 * KiB},
+		{"bcast32k", OpBcast, 32 * KiB},
+		{"bcast64k", OpBcast, 64 * KiB},
+	}
+	cfg := func(op Op, size int64) Config {
+		return Config{Machine: cl.Global, Comp: Hier(cl), Op: op, Size: size, Iters: 1, OffCache: true}
+	}
+	want := make([]Result, len(cells))
+	for i, c := range cells {
+		want[i] = MustMeasure(cfg(c.op, c.size))
+	}
+	for i, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			for pass := 0; pass < 2; pass++ {
+				got := MustMeasure(cfg(c.op, c.size))
+				if got.Seconds != want[i].Seconds || !reflect.DeepEqual(got.Stats, want[i].Stats) {
+					t.Fatalf("pass %d diverges from the sequential run:\ngot  %.17g %s\nwant %.17g %s",
+						pass, got.Seconds, got.Stats.String(), want[i].Seconds, want[i].Stats.String())
+				}
+			}
+		})
+	}
+}

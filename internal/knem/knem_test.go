@@ -318,3 +318,50 @@ func TestWindowedReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReattachDropsLeakedRegions pins the shard-reuse contract of New: a
+// module re-attached to a reset engine/net starts with no live regions and
+// restarts its cookie numbering, so a cell on a recycled shard sees the
+// same cookies as on a fresh one and a cookie leaked by the previous cell
+// does not resolve.
+func TestReattachDropsLeakedRegions(t *testing.T) {
+	e, n, mod, m := setup()
+	b := n.Alloc(m.Domains[0], 4096, false)
+	var leaked Cookie
+	run(t, e, func(p *sim.Proc) {
+		var err error
+		if leaked, err = mod.Create(p, 0, []memsim.View{b.Whole()}, DirRead); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mod.ActiveRegions() != 1 {
+		t.Fatalf("active regions = %d before reattach, want 1", mod.ActiveRegions())
+	}
+
+	e.Reset()
+	n.Reset(nil)
+	mod = New(n)
+	if mod.ActiveRegions() != 0 {
+		t.Fatalf("active regions = %d after reattach, want 0", mod.ActiveRegions())
+	}
+	b = n.Alloc(m.Domains[0], 4096, false)
+	dst := n.Alloc(m.Domains[1], 4096, false)
+	run(t, e, func(p *sim.Proc) {
+		if err := mod.Copy(p, m.Cores[4], []memsim.View{dst.Whole()}, leaked, 0, DirRead); err != ErrInvalidCookie {
+			t.Errorf("leaked cookie after reattach: err = %v, want ErrInvalidCookie", err)
+		}
+		c, err := mod.Create(p, 0, []memsim.View{b.Whole()}, DirRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != leaked {
+			t.Errorf("first cookie after reattach = %d, want %d (numbering restarts)", c, leaked)
+		}
+		if err := mod.Destroy(p, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mod.ActiveRegions() != 0 {
+		t.Fatal("region leaked after reattach")
+	}
+}

@@ -211,26 +211,35 @@ func TestValidation(t *testing.T) {
 		body string
 		want string
 		code int
+		path string // "" is /v1/cells
 	}{
-		{"empty body", `{}`, "no machine", 0},
-		{"unknown machine", `{"machine":"Cray-1","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1}]}`, `unknown machine "Cray-1"`, 0},
-		{"no cells", `{"machine":"Zoot","cells":[]}`, "no cells", 0},
-		{"unknown comp", `{"machine":"Zoot","cells":[{"comp":"FTL","op":"bcast","size":1}]}`, `cell 0: unknown component "FTL"`, 0},
-		{"unknown op", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"warp","size":1}]}`, `cell 0: unknown op "warp"`, 0},
-		{"negative size", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":-1}]}`, "cell 0: negative size", 0},
-		{"np too big", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":512}]}`, "cell 0: np 512 out of range", 0},
-		{"bad root", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":4,"root":4}]}`, "cell 0: root 4 out of range", 0},
-		{"unknown field", `{"machine":"Zoot","threads":9}`, "bad request body", 0},
-		{"not json", `hello`, "bad request body", 0},
+		{"empty body", `{}`, "no machine", 0, ""},
+		{"unknown machine", `{"machine":"Cray-1","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1}]}`, `unknown machine "Cray-1"`, 0, ""},
+		{"no cells", `{"machine":"Zoot","cells":[]}`, "no cells", 0, ""},
+		{"unknown comp", `{"machine":"Zoot","cells":[{"comp":"FTL","op":"bcast","size":1}]}`, `cell 0: unknown component "FTL"`, 0, ""},
+		{"unknown op", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"warp","size":1}]}`, `cell 0: unknown op "warp"`, 0, ""},
+		{"negative size", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":-1}]}`, "cell 0: negative size", 0, ""},
+		{"np too big", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":512}]}`, "cell 0: np 512 out of range", 0, ""},
+		{"bad root", `{"machine":"Zoot","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1,"np":4,"root":4}]}`, "cell 0: root 4 out of range", 0, ""},
+		{"unknown field", `{"machine":"Zoot","threads":9}`, "bad request body", 0, ""},
+		{"not json", `hello`, "bad request body", 0, ""},
 		{"too many cells", fmt.Sprintf(`{"machine":"Zoot","cells":[%s]}`,
 			strings.TrimSuffix(strings.Repeat(`{"comp":"KNEM-Coll","op":"bcast","size":1},`, 9), ",")),
-			"9 cells exceeds the per-request limit of 8", 0},
+			"9 cells exceeds the per-request limit of 8", 0, ""},
 		{"body too large", `{"machine":"Zoot"` + strings.Repeat(" ", maxBodyBytes) + `}`,
-			"request body exceeds the 1048576-byte limit", http.StatusRequestEntityTooLarge},
+			"request body exceeds the 1048576-byte limit", http.StatusRequestEntityTooLarge, ""},
+		{"sweep unknown machine", `{"machine":"Cray-1","cells":[{"comp":"KNEM-Coll","op":"bcast","size":1}]}`, `unknown machine "Cray-1"`, 0, "/v1/sweep"},
+		{"sweep no cells", `{"machine":"Zoot","cells":[]}`, "no cells", 0, "/v1/sweep"},
+		{"sweep body too large", `{"machine":"Zoot"` + strings.Repeat(" ", maxBodyBytes) + `}`,
+			"request body exceeds the 1048576-byte limit", http.StatusRequestEntityTooLarge, "/v1/sweep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/cells", "application/json", strings.NewReader(tc.body))
+			path := tc.path
+			if path == "" {
+				path = "/v1/cells"
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,6 +323,35 @@ func TestMachineResolvedOnce(t *testing.T) {
 	def := New(Options{})
 	if def.opts.Machines("Zoot") != def.opts.Machines("Zoot") {
 		t.Fatal("default resolver built a new machine for a repeated name")
+	}
+}
+
+// TestUnknownMachineNotRemembered: a name the resolver does not know is
+// asked again on every request, so arbitrary names posted to a server
+// cannot grow its machine map, and a name the resolver learns later is
+// served from then on.
+func TestUnknownMachineNotRemembered(t *testing.T) {
+	calls := map[string]int{}
+	known := false
+	resolve := resolveOnce(func(name string) *topology.Machine {
+		calls[name]++
+		if name == "Late" && known {
+			return topology.Zoot()
+		}
+		return nil
+	})
+	for i := 0; i < 3; i++ {
+		if resolve("Cray-1") != nil || resolve("Late") != nil {
+			t.Fatal("unknown name resolved to a machine")
+		}
+	}
+	known = true
+	m := resolve("Late")
+	if m == nil || resolve("Late") != m {
+		t.Fatal("name learned later is not resolved once and reused")
+	}
+	if calls["Cray-1"] != 3 || calls["Late"] != 4 {
+		t.Fatalf("resolver calls = %v, want Cray-1:3 Late:4", calls)
 	}
 }
 

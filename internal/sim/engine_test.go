@@ -302,3 +302,51 @@ func TestFiredCounts(t *testing.T) {
 		t.Fatalf("fired = %d, want 5", e.Fired())
 	}
 }
+
+// TestScheduleOwnedAtExactTime pins why ScheduleOwnedAt exists: an event
+// fires at exactly the absolute time it was given, even where the
+// now+(t-now) round trip of a relative delay would move the low bits, and
+// it keeps FIFO order with other events at that instant.
+func TestScheduleOwnedAtExactTime(t *testing.T) {
+	now, target := Time(6.977303741012196e-07), Time(6.825903023294777e-06)
+	if now+(target-now) == target {
+		t.Fatalf("test times %g/%g do not exercise rounding", now, target)
+	}
+	e := NewEngine()
+	var order []string
+	var at Time
+	e.ScheduleAt(now, func() {
+		e.ScheduleAt(target, func() { order = append(order, "plain") })
+		e.ScheduleOwnedAt(target, func() {
+			order = append(order, "owned")
+			at = e.Now()
+		})
+		e.ScheduleAt(target, func() { order = append(order, "late") })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != target {
+		t.Fatalf("owned event fired at %.17g, want exactly %.17g", at, target)
+	}
+	if got, want := fmt.Sprint(order), "[plain owned late]"; got != want {
+		t.Fatalf("same-instant order %s, want %s", got, want)
+	}
+}
+
+// TestScheduleOwnedAtPastPanics pins the misuse guard: an absolute time
+// before Now() is a bug in the caller, not an event to reorder.
+func TestScheduleOwnedAtPastPanics(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleAt(1, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ScheduleOwnedAt before Now did not panic")
+			}
+		}()
+		e.ScheduleOwnedAt(0.5, func() {})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
