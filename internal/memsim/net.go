@@ -13,17 +13,25 @@ import (
 // concurrent copies share link bandwidth max-min fairly; rates are
 // recomputed whenever a flow starts or finishes.
 type Net struct {
-	eng     *sim.Engine
-	mach    *topology.Machine
-	stats   *trace.Stats
-	tl      *trace.Timeline
-	caches  []*groupCache
-	bwScale []float64 // per-link bandwidth multipliers (nil = none)
+	eng    *sim.Engine
+	mach   *topology.Machine
+	stats  *trace.Stats
+	tl     *trace.Timeline
+	caches []*groupCache
+	// bw[i] is link i's effective bandwidth: its capacity times any
+	// SetLinkScaler multiplier, refreshed by New, Reset and SetLinkScaler.
+	bw []float64
 
 	flows      []*flow
 	completion *sim.Event
-	nextBuf    int64
-	flowSeq    int64
+	// nextAt is the earliest completion instant (flow.finishAt) over the
+	// priced flows (rate > 0), or +Inf when none is priced. It is
+	// kept exact wherever rates or the flow set change (addFlow's disjoint
+	// fast path, onCompletion's survivor pass, flushReprice, scheduleNext),
+	// so a mid-burst provisional reschedule costs O(1) instead of a scan.
+	nextAt  sim.Time
+	nextBuf int64
+	flowSeq int64
 
 	// onCompletionFn is the completion callback built once so reschedule
 	// allocates no closure.
@@ -50,11 +58,16 @@ type Net struct {
 	linkWeight []float64
 
 	// Persistent water-filling scratch (wf*) and startCopy scratch (use*):
-	// sized to len(mach.Links) once, reused on every call so the hot paths
-	// allocate nothing.
+	// the per-link arrays are sized to len(mach.Links) once, the lists grow
+	// to the live flow set, and all are reused on every call so the hot
+	// paths allocate nothing. wfWeight is all zero between solves: a solve
+	// ends with every flow fixed, which drains each link's weight to 0.
 	wfFixed  []float64
 	wfWeight []float64
 	wfSat    []bool
+	wfLinks  []int     // links with unfixed flows, first-use order
+	wfShare  []float64 // per-round share of wfLinks[k]
+	wfFlows  []*flow   // unfixed flows, in n.flows order
 	useEpoch int64
 	useMark  []int64
 	useMult  []float64
@@ -65,13 +78,12 @@ type Net struct {
 	pendPool []*Pending        // recycled copy handles (blocking Copy only)
 	bufSlab  *sim.Slab[Buffer] // arena-backed Alloc; survives Reset
 
-	// Interned routes: routeDom[vertex][domainID] and
-	// routeGroup[vertex][groupID] hold the PathToDomain/PathToGroup results
-	// for every core vertex, computed once in New so startCopy never
-	// rebuilds a link path. The slices are shared and must never be
-	// mutated.
-	routeDom   [][][]*topology.Link
-	routeGroup [][][]*topology.Link
+	// Interned routes, keyed by routeKey: the PathToDomain/PathToGroup
+	// result for a (core vertex, domain or group) pair, computed on the
+	// pair's first copy so startCopy never rebuilds a link path and a Net
+	// pays only for the pairs its copies use. Entries survive Reset. The
+	// slices are shared and must never be mutated.
+	routes map[int64][]*topology.Link
 
 	// linkNames is the dense link-name table handed to every stats sink
 	// (SetLinkNames), built once in New and reused by Reset.
@@ -98,7 +110,6 @@ type flow struct {
 	uses      []linkUse
 	remaining float64
 	rate      float64
-	fixed     bool // water-filling working state
 	started   sim.Time
 	// last is the instant of the flow's most recent depletion: its start,
 	// or the last time its rate changed. Depletion is lazy per flow (see
@@ -150,34 +161,16 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	for _, g := range m.Groups {
 		n.caches = append(n.caches, newGroupCache(g, &entryPool{}))
 	}
-	nv := 0
-	for _, c := range m.Cores {
-		if c.Vertex+1 > nv {
-			nv = c.Vertex + 1
-		}
-	}
-	n.routeDom = make([][][]*topology.Link, nv)
-	n.routeGroup = make([][][]*topology.Link, nv)
-	for _, c := range m.Cores {
-		if n.routeDom[c.Vertex] != nil {
-			continue
-		}
-		rd := make([][]*topology.Link, len(m.Domains))
-		for _, d := range m.Domains {
-			rd[d.ID] = m.PathToDomain(c, d)
-		}
-		rg := make([][]*topology.Link, len(m.Groups))
-		for _, g := range m.Groups {
-			rg[g.ID] = m.PathToGroup(c, g)
-		}
-		n.routeDom[c.Vertex] = rd
-		n.routeGroup[c.Vertex] = rg
-	}
+	n.routes = make(map[int64][]*topology.Link)
 	nl := len(m.Links)
+	n.bw = make([]float64, nl)
+	n.SetLinkScaler(nil)
+	n.nextAt = math.Inf(1)
 	n.linkWeight = make([]float64, nl)
 	n.wfFixed = make([]float64, nl)
 	n.wfWeight = make([]float64, nl)
 	n.wfSat = make([]bool, nl)
+	n.wfShare = make([]float64, nl)
 	n.useMark = make([]int64, nl)
 	n.useMult = make([]float64, nl)
 	n.onCompletionFn = n.onCompletion
@@ -203,7 +196,7 @@ func (n *Net) Reset(stats *trace.Stats) {
 	n.stats = stats
 	stats.SetLinkNames(n.linkNames)
 	n.tl = nil
-	n.bwScale = nil
+	n.SetLinkScaler(nil)
 	n.islGroupLo, n.islGroupHi = nil, nil
 	n.islDomLo, n.islDomHi = nil, nil
 	for _, c := range n.caches {
@@ -217,6 +210,7 @@ func (n *Net) Reset(stats *trace.Stats) {
 	}
 	n.flows = n.flows[:0]
 	n.completion = nil
+	n.nextAt = math.Inf(1)
 	n.nextBuf, n.flowSeq = 0, 0
 	n.repricePending, n.needSolve = false, false
 	n.rateSolves = 0
@@ -291,27 +285,17 @@ type LinkScaler interface {
 // Pass nil to restore full bandwidth. Values outside (0, 1] are clamped
 // to 1 so a misconfigured plan cannot stall the water-filling solver.
 func (n *Net) SetLinkScaler(s LinkScaler) {
-	if s == nil {
-		n.bwScale = nil
-		return
-	}
-	n.bwScale = make([]float64, len(n.mach.Links))
 	for i, l := range n.mach.Links {
+		n.bw[i] = l.BW
+		if s == nil {
+			continue
+		}
 		f := s.LinkScale(l.Name)
 		if f <= 0 || f > 1 {
 			f = 1
 		}
-		n.bwScale[i] = f
+		n.bw[i] *= f
 	}
-}
-
-// linkBW returns link i's effective bandwidth under any active scaling.
-func (n *Net) linkBW(i int) float64 {
-	bw := n.mach.Links[i].BW
-	if n.bwScale != nil {
-		bw *= n.bwScale[i]
-	}
-	return bw
 }
 
 // Busy returns the number of in-flight flows (for tests).
@@ -395,21 +379,21 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 	if core != nil {
 		if g := n.findCached(core, src); g != nil {
 			cacheHit = true
-			for _, l := range n.routeGroup[core.Vertex][g.ID] {
+			for _, l := range n.groupRoute(core, g) {
 				n.useLink(l)
 			}
 		} else if g := n.dirtyOwner(core, src); g != nil {
-			for _, l := range n.routeGroup[core.Vertex][g.ID] {
+			for _, l := range n.groupRoute(core, g) {
 				n.useLink(l)
 			}
 			n.useLink(src.Buf.Domain.Bus) // write-back to home memory
 		} else {
-			for _, l := range n.routeDom[reader.Vertex][src.Buf.Domain.ID] {
+			for _, l := range n.domainRoute(reader, src.Buf.Domain) {
 				n.useLink(l)
 			}
 		}
 	} else {
-		for _, l := range n.routeDom[reader.Vertex][src.Buf.Domain.ID] {
+		for _, l := range n.domainRoute(reader, src.Buf.Domain) {
 			n.useLink(l)
 		}
 	}
@@ -423,7 +407,7 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 		n.useLink(core.Group.Port)
 	}
 	if !writeHit {
-		for _, l := range n.routeDom[reader.Vertex][dst.Buf.Domain.ID] {
+		for _, l := range n.domainRoute(reader, dst.Buf.Domain) {
 			n.useLink(l)
 		}
 	}
@@ -481,6 +465,35 @@ func (n *Net) finishFlow(f *flow) {
 	if pe.waiter != nil {
 		pe.waiter.Wake()
 	}
+}
+
+// domainRoute returns the interned PathToDomain route from core c's vertex
+// to domain d, computing it on the pair's first use.
+func (n *Net) domainRoute(c *topology.Core, d *topology.MemDomain) []*topology.Link {
+	k := n.routeKey(c, d.ID)
+	r, ok := n.routes[k]
+	if !ok {
+		r = n.mach.PathToDomain(c, d)
+		n.routes[k] = r
+	}
+	return r
+}
+
+// groupRoute is domainRoute for the PathToGroup route to cache group g.
+func (n *Net) groupRoute(c *topology.Core, g *topology.CacheGroup) []*topology.Link {
+	k := n.routeKey(c, len(n.mach.Domains)+g.ID)
+	r, ok := n.routes[k]
+	if !ok {
+		r = n.mach.PathToGroup(c, g)
+		n.routes[k] = r
+	}
+	return r
+}
+
+// routeKey packs a (core vertex, target) pair; targets number the domains
+// first, then the cache groups.
+func (n *Net) routeKey(c *topology.Core, target int) int64 {
+	return int64(c.Vertex)*int64(len(n.mach.Domains)+len(n.mach.Groups)) + int64(target)
 }
 
 // useLink accumulates one crossing of l into the epoch-stamped scratch,
@@ -544,11 +557,14 @@ func (n *Net) addFlow(f *flow) {
 	if disjoint {
 		rate := math.Inf(1)
 		for _, u := range f.uses {
-			if s := n.linkBW(u.idx) / u.mult; s < rate {
+			if s := n.bw[u.idx] / u.mult; s < rate {
 				rate = s
 			}
 		}
 		f.rate = rate
+		if t := f.finishAt(); t < n.nextAt {
+			n.nextAt = t
+		}
 		n.requestReprice(false)
 		return
 	}
@@ -601,7 +617,8 @@ const provisionalFar = 1.0
 // scheduleProvisional mirrors scheduleNext's cancel/schedule pair but
 // tolerates flows the deferred solve has not priced yet (rate 0): their
 // completion target is unknown mid-burst, so the event's time is only
-// provisional. flushReprice retimes it once the final rates stand.
+// provisional — the cached earliest completion over the priced flows.
+// flushReprice retimes it once the final rates stand.
 func (n *Net) scheduleProvisional() {
 	if n.completion != nil {
 		n.completion.Cancel()
@@ -611,15 +628,7 @@ func (n *Net) scheduleProvisional() {
 		return
 	}
 	now := n.eng.Now()
-	at := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.last + f.remaining/f.rate; t < at {
-			at = t
-		}
-	}
+	at := n.nextAt
 	if math.IsInf(at, 1) {
 		// Every flow is still unpriced (e.g. the only rated flow just
 		// finished at this instant while a new burst is pending): park
@@ -635,28 +644,22 @@ func (n *Net) scheduleProvisional() {
 // flow set (if any change needed it), then the completion event's
 // provisional target is corrected in place. Retime preserves the event's
 // sequence number, so ties against other events at the same future
-// instant resolve exactly as they always did.
+// instant resolve exactly as they always did. A burst without a solve
+// priced every flow it added, so the cached minimum already stands.
 func (n *Net) flushReprice() {
 	n.repricePending = false
 	if n.needSolve {
 		n.needSolve = false
 		if len(n.flows) > 0 {
 			n.recomputeRates()
+			n.nextAt = n.earliestCompletion()
 		}
 	}
 	if n.completion == nil {
 		return
 	}
 	now := n.eng.Now()
-	at := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			panic("memsim: flow with zero rate")
-		}
-		if t := f.last + f.remaining/f.rate; t < at {
-			at = t
-		}
-	}
+	at := n.nextAt
 	if at < now {
 		at = now
 	}
@@ -690,6 +693,9 @@ func (f *flow) depleteTo(now sim.Time) {
 
 const finishEps = 1e-3 // bytes; far below any modelled transfer granularity
 
+// finishAt is the instant f completes at its current rate.
+func (f *flow) finishAt() sim.Time { return f.last + f.remaining/f.rate }
+
 // reschedule recomputes max-min fair rates and schedules the next
 // completion event.
 func (n *Net) reschedule() {
@@ -706,23 +712,30 @@ func (n *Net) scheduleNext() {
 		n.completion.Cancel()
 		n.completion = nil
 	}
+	n.nextAt = n.earliestCompletion()
 	if len(n.flows) == 0 {
 		return
 	}
-	now := n.eng.Now()
+	at := n.nextAt
+	if now := n.eng.Now(); at < now {
+		at = now
+	}
+	n.completion = n.eng.ScheduleOwnedAt(at, n.onCompletionFn)
+}
+
+// earliestCompletion scans every flow, all of which must be priced, for
+// the earliest completion instant (+Inf without flows).
+func (n *Net) earliestCompletion() sim.Time {
 	at := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
 			panic("memsim: flow with zero rate")
 		}
-		if t := f.last + f.remaining/f.rate; t < at {
+		if t := f.finishAt(); t < at {
 			at = t
 		}
 	}
-	if at < now {
-		at = now
-	}
-	n.completion = n.eng.ScheduleOwnedAt(at, n.onCompletionFn)
+	return at
 }
 
 func (n *Net) onCompletion() {
@@ -730,6 +743,7 @@ func (n *Net) onCompletion() {
 	now := n.eng.Now()
 	remaining := n.flows[:0]
 	finished := n.finished[:0]
+	n.nextAt = math.Inf(1)
 	for _, f := range n.flows {
 		// Survivors are judged without mutation: depleting them here would
 		// chop their accumulation at another flow's completion instant.
@@ -741,6 +755,9 @@ func (n *Net) onCompletion() {
 			finished = append(finished, f)
 		} else {
 			remaining = append(remaining, f)
+			if f.rate > 0 && f.finishAt() < n.nextAt {
+				n.nextAt = f.finishAt()
+			}
 		}
 	}
 	n.flows = remaining
@@ -777,35 +794,51 @@ func (n *Net) onCompletion() {
 
 // recomputeRates runs progressive filling (water-filling) with per-link
 // multiplicities: raise all unfixed flow rates uniformly until a link
-// saturates, fix the flows crossing it, repeat. All working state lives in
-// persistent scratch arrays on Net, so the solver allocates nothing.
+// saturates, fix the flows crossing it, repeat. Only the links the live
+// flows cross take part, and a link leaves once its last unfixed flow is
+// fixed, so a solve costs O(active links + flow uses) per round however
+// large the machine. The unfixed flows stay in n.flows order, which keeps
+// every link's fixedLoad accumulation order, and so every rate, bit for
+// bit what a pass over all links and flows computes. All working state
+// lives in persistent scratch on Net, so the solver allocates nothing.
 func (n *Net) recomputeRates() {
 	n.rateSolves++
 	now := n.eng.Now()
 	fixedLoad, weight, saturated := n.wfFixed, n.wfWeight, n.wfSat
-	for i := range fixedLoad {
-		fixedLoad[i] = 0
-	}
-	// The working weights start from the incrementally maintained totals;
-	// multiplicities are small integers, so the running sum is exact and
-	// bit-identical to re-accumulating over the flows.
-	copy(weight, n.linkWeight)
-	unfixed := len(n.flows)
+	// Collect the links the live flows cross. wfWeight is all zero between
+	// solves, so a zero weight marks a link not yet collected. Its working
+	// weight starts from the incrementally maintained total; multiplicities
+	// are small integers, so the running sum is exact and bit-identical to
+	// re-accumulating over the flows.
+	links := n.wfLinks[:0]
 	for _, f := range n.flows {
-		f.fixed = false
+		for _, u := range f.uses {
+			if weight[u.idx] == 0 {
+				weight[u.idx] = n.linkWeight[u.idx]
+				fixedLoad[u.idx] = 0
+				links = append(links, u.idx)
+			}
+		}
 	}
-	for unfixed > 0 {
-		// Find the bottleneck share.
+	unfixed := append(n.wfFlows[:0], n.flows...)
+	shares := n.wfShare
+	for len(unfixed) > 0 {
+		// Drop the links whose last unfixed flow was fixed last round and
+		// find the bottleneck share over the rest.
 		share := math.Inf(1)
-		for i := range weight {
-			if weight[i] <= 0 {
+		live := links[:0]
+		for _, i := range links {
+			if weight[i] == 0 {
 				continue
 			}
-			s := (n.linkBW(i) - fixedLoad[i]) / weight[i]
+			s := (n.bw[i] - fixedLoad[i]) / weight[i]
+			shares[len(live)] = s
+			live = append(live, i)
 			if s < share {
 				share = s
 			}
 		}
+		links = live
 		if math.IsInf(share, 1) {
 			panic("memsim: unfixed flows cross no links")
 		}
@@ -814,19 +847,11 @@ func (n *Net) recomputeRates() {
 		}
 		// Identify the links saturated at this share, then fix every
 		// unfixed flow crossing one of them.
-		for i := range weight {
-			if weight[i] <= 0 {
-				saturated[i] = false
-				continue
-			}
-			s := (n.linkBW(i) - fixedLoad[i]) / weight[i]
-			saturated[i] = s <= share*(1+1e-12)
+		for k, i := range links {
+			saturated[i] = shares[k] <= share*(1+1e-12)
 		}
-		progress := false
-		for _, f := range n.flows {
-			if f.fixed {
-				continue
-			}
+		kept := unfixed[:0]
+		for _, f := range unfixed {
 			bottled := false
 			for _, u := range f.uses {
 				if saturated[u.idx] {
@@ -834,22 +859,23 @@ func (n *Net) recomputeRates() {
 					break
 				}
 			}
-			if bottled {
-				if share != f.rate {
-					f.depleteTo(now)
-					f.rate = share
-				}
-				f.fixed = true
-				unfixed--
-				progress = true
-				for _, u := range f.uses {
-					fixedLoad[u.idx] += share * u.mult
-					weight[u.idx] -= u.mult
-				}
+			if !bottled {
+				kept = append(kept, f)
+				continue
+			}
+			if share != f.rate {
+				f.depleteTo(now)
+				f.rate = share
+			}
+			for _, u := range f.uses {
+				fixedLoad[u.idx] += share * u.mult
+				weight[u.idx] -= u.mult
 			}
 		}
-		if !progress {
+		if len(kept) == len(unfixed) {
 			panic("memsim: water-filling made no progress")
 		}
+		unfixed = kept
 	}
+	n.wfLinks, n.wfFlows = links, unfixed
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -30,7 +31,7 @@ func referenceRates(n *Net) map[*flow]float64 {
 			if weight[i] <= 0 {
 				continue
 			}
-			if s := (n.linkBW(i) - fixedLoad[i]) / weight[i]; s < share {
+			if s := (n.bw[i] - fixedLoad[i]) / weight[i]; s < share {
 				share = s
 			}
 		}
@@ -42,7 +43,7 @@ func referenceRates(n *Net) map[*flow]float64 {
 			if weight[i] <= 0 {
 				continue
 			}
-			if s := (n.linkBW(i) - fixedLoad[i]) / weight[i]; s <= share*(1+1e-12) {
+			if s := (n.bw[i] - fixedLoad[i]) / weight[i]; s <= share*(1+1e-12) {
 				saturated[i] = true
 			}
 		}
@@ -93,9 +94,47 @@ func checkAgainstReference(t *testing.T, n *Net, where string) {
 		}
 	}
 	for i, l := range load {
-		if bw := n.linkBW(i); l > bw*(1+1e-9) {
+		if bw := n.bw[i]; l > bw*(1+1e-9) {
 			t.Fatalf("%s: link %s overloaded: %.12e > %.12e", where, n.mach.Links[i].Name, l, bw)
 		}
+	}
+}
+
+// bruteNextAt is the earliest completion instant over the priced flows,
+// scanned from scratch (+Inf when none is priced).
+func bruteNextAt(n *Net) sim.Time {
+	at := math.Inf(1)
+	for _, f := range n.flows {
+		if f.rate > 0 {
+			at = math.Min(at, f.last+f.remaining/f.rate)
+		}
+	}
+	return at
+}
+
+// checkCompletion verifies the cached earliest completion against a scan
+// and, when flows are live, that the pending completion event sits at that
+// instant (clamped to now, or provisionally far while nothing is priced).
+func checkCompletion(t *testing.T, n *Net, where string) {
+	t.Helper()
+	want := bruteNextAt(n)
+	if n.nextAt != want {
+		t.Fatalf("%s: cached next completion %v, scan %v", where, n.nextAt, want)
+	}
+	if len(n.flows) == 0 {
+		if n.completion != nil {
+			t.Fatalf("%s: completion event pending with no flows", where)
+		}
+		return
+	}
+	now := n.eng.Now()
+	if math.IsInf(want, 1) {
+		want = now + provisionalFar
+	} else if want < now {
+		want = now
+	}
+	if n.completion == nil || n.completion.Time() != want {
+		t.Fatalf("%s: completion event %v, want one at %v", where, n.completion, want)
 	}
 }
 
@@ -105,13 +144,31 @@ func checkAgainstReference(t *testing.T, n *Net, where string) {
 // checks the production rates against the reference solver after every
 // add. Rates settle at the end of the instant (reprices are burst-batched
 // through the engine's Defer hook), so the check is deferred to run right
-// after the Net's own flush.
+// after the Net's own flush. Every flush and every completion also checks
+// the cached earliest completion and the pending completion event against
+// a brute-force scan. The machine set includes a compiled four-node
+// cluster, where most links are idle, so the solver's active-link set is a
+// small part of the machine.
 func TestSolverMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	machines := []*topology.Machine{topology.Dancer(), topology.Saturn(), topology.IG()}
-	for trial := 0; trial < 12; trial++ {
+	cl, err := topology.LoadCluster("../../machines/cluster4.cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := []*topology.Machine{topology.Dancer(), topology.Saturn(), topology.IG(), cl.Global}
+	for trial := 0; trial < 16; trial++ {
 		m := machines[trial%len(machines)]
 		e, n := setup(m)
+		flushes := 0
+		n.repriceFn = func() {
+			n.flushReprice()
+			checkCompletion(t, n, "after flush")
+			flushes++
+		}
+		n.onCompletionFn = func() {
+			n.onCompletion()
+			checkCompletion(t, n, "after completion")
+		}
 		checks := 0
 		for c := 0; c < 40; c++ {
 			core := m.Cores[rng.Intn(m.NCores())]
@@ -121,6 +178,7 @@ func TestSolverMatchesBruteForce(t *testing.T) {
 			at := rng.Float64() * 1e-3
 			e.Schedule(at, func() {
 				n.CopyAsync(core, dst.View(0, size), src.View(0, size))
+				checkCompletion(t, n, "after add")
 				e.Defer(func() {
 					checkAgainstReference(t, n, "after add")
 					checks++
@@ -132,6 +190,9 @@ func TestSolverMatchesBruteForce(t *testing.T) {
 		}
 		if checks != 40 {
 			t.Fatalf("trial %d: ran %d checks, want 40", trial, checks)
+		}
+		if flushes < 40 {
+			t.Fatalf("trial %d: %d flushes checked, want at least 40", trial, flushes)
 		}
 		if n.Busy() != 0 {
 			t.Fatalf("trial %d: %d flows leaked", trial, n.Busy())
@@ -191,7 +252,9 @@ func TestRescheduleAllocationFree(t *testing.T) {
 
 // TestDisjointFastPathExact verifies the incremental fast path bit-for-bit:
 // a flow sharing no link with the active set must get exactly the rate the
-// full solver would assign, with every other rate left untouched.
+// full solver would assign, with every other rate left untouched. The Net
+// is driven outside Run, so every add reprices synchronously and the
+// cached earliest completion must match a scan after each one.
 func TestDisjointFastPathExact(t *testing.T) {
 	m := topology.Dancer()
 	e, n := setup(m)
@@ -201,12 +264,14 @@ func TestDisjointFastPathExact(t *testing.T) {
 		src := n.Alloc(d0, MB, false)
 		dst := n.Alloc(d0, MB, false)
 		n.CopyAsync(d0.Cores[i], dst.Whole(), src.Whole())
+		checkCompletion(t, n, "after contended add")
 	}
 	before := []float64{n.flows[0].rate, n.flows[1].rate}
 	// A third flow entirely inside domain 1: no shared link.
 	src := n.Alloc(d1, MB, false)
 	dst := n.Alloc(d1, MB, false)
 	n.CopyAsync(d1.Cores[0], dst.Whole(), src.Whole())
+	checkCompletion(t, n, "after disjoint add")
 	if n.flows[0].rate != before[0] || n.flows[1].rate != before[1] {
 		t.Fatal("disjoint add changed unrelated rates")
 	}

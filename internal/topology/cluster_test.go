@@ -421,7 +421,9 @@ func TestParseCluster(t *testing.T) {
 
 // FuzzClusterConfig asserts the cluster parser never panics, keeps its
 // errors one-line, and round-trips: a successfully parsed config renders
-// to canonical text that re-parses to the same canonical text.
+// to canonical text that re-parses to the same canonical text. Every
+// config that compiles over built-in machines must also route exactly as
+// the reference router does (checkRoutes).
 func FuzzClusterConfig(f *testing.F) {
 	f.Add(sampleCluster)
 	f.Add("cluster x\nnode a machine=Dancer\n")
@@ -444,5 +446,23 @@ func FuzzClusterConfig(f *testing.F) {
 		if r2 := cfg2.Render(); r1 != r2 {
 			t.Fatalf("render not idempotent:\n%s\nvs\n%s", r1, r2)
 		}
+		cl, err := CompileCluster(cfg, builtinOnly)
+		if err != nil {
+			if strings.ContainsRune(err.Error(), '\n') {
+				t.Fatalf("multi-line compile error: %q", err)
+			}
+			return
+		}
+		checkRoutes(t, cl.Global)
 	})
+}
+
+// builtinOnly resolves the paper's four machines and nothing else, so
+// fuzzed configs never read files and stay small enough for the
+// reference router's all-pairs link slices.
+func builtinOnly(ref string) (*Machine, error) {
+	if m, ok := Machines()[ref]; ok {
+		return m, nil
+	}
+	return nil, fmt.Errorf("not a paper machine")
 }

@@ -107,10 +107,15 @@ type Machine struct {
 
 	nVerts int
 	adj    [][]edge // adjacency by vertex
-	paths  [][][]*Link
-	hops   [][]int
-	hasLat bool        // any interconnect link with nonzero latency
-	lats   [][]float64 // per vertex pair: summed link latency along the route
+	// Route tables, flat n×n and pointer-free, indexed s*nVerts+t: the
+	// BFS tree of source s stores, for every t, the previous vertex on the
+	// route (parent) and the index of the link crossed from it (via), so a
+	// route is recovered by walking the parent chain back to s.
+	parent []int32
+	via    []int32
+	hops   []int32
+	hasLat bool      // any interconnect link with nonzero latency
+	lats   []float64 // summed link latency along the route (nil without hasLat)
 }
 
 type edge struct {
@@ -224,65 +229,66 @@ func (b *Builder) Build() *Machine {
 }
 
 // route computes shortest paths between all vertex pairs (BFS per source,
-// deterministic neighbor order).
+// deterministic neighbor order). The latency of a route accumulates along
+// the BFS tree, lats[s][t] = lats[s][parent] + link.Lat: the same
+// left-to-right sum over the route's links as summing the path itself.
 func (m *Machine) route() {
 	n := m.nVerts
-	m.paths = make([][][]*Link, n)
-	m.hops = make([][]int, n)
-	for s := 0; s < n; s++ {
-		prevEdge := make([]edge, n)
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, e := range m.adj[u] {
-				if dist[e.to] == -1 {
-					dist[e.to] = dist[u] + 1
-					prevEdge[e.to] = edge{to: u, link: e.link}
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		m.paths[s] = make([][]*Link, n)
-		m.hops[s] = dist
-		for t := 0; t < n; t++ {
-			if dist[t] < 0 {
-				panic(fmt.Sprintf("topology: %s: vertex %d unreachable from %d", m.Name, t, s))
-			}
-			var rev []*Link
-			for v := t; v != s; v = prevEdge[v].to {
-				rev = append(rev, prevEdge[v].link)
-			}
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			m.paths[s][t] = rev
-		}
-	}
 	for _, l := range m.Links {
 		if l.Lat != 0 {
 			m.hasLat = true
 			break
 		}
 	}
+	m.parent = make([]int32, n*n)
+	m.via = make([]int32, n*n)
+	m.hops = make([]int32, n*n)
 	if m.hasLat {
-		m.lats = make([][]float64, n)
-		for s := 0; s < n; s++ {
-			m.lats[s] = make([]float64, n)
-			for t := 0; t < n; t++ {
-				var sum float64
-				for _, l := range m.paths[s][t] {
-					sum += l.Lat
+		m.lats = make([]float64, n*n)
+	}
+	queue := make([]int32, 0, n)
+	for s := 0; s < n; s++ {
+		row := s * n
+		dist := m.hops[row : row+n]
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			u := int(queue[head])
+			for _, e := range m.adj[u] {
+				if dist[e.to] == -1 {
+					dist[e.to] = dist[u] + 1
+					m.parent[row+e.to] = int32(u)
+					m.via[row+e.to] = int32(e.link.Index)
+					if m.hasLat {
+						m.lats[row+e.to] = m.lats[row+u] + e.link.Lat
+					}
+					queue = append(queue, int32(e.to))
 				}
-				m.lats[s][t] = sum
+			}
+		}
+		for t, d := range dist {
+			if d < 0 {
+				panic(fmt.Sprintf("topology: %s: vertex %d unreachable from %d", m.Name, t, s))
 			}
 		}
 	}
+}
+
+// pathPlus returns the interconnect links from vertex s to vertex t
+// followed by last, in a fresh slice.
+func (m *Machine) pathPlus(s, t int, last *Link) []*Link {
+	row := s * m.nVerts
+	h := int(m.hops[row+t])
+	out := make([]*Link, h+1)
+	out[h] = last
+	for v := t; v != s; v = int(m.parent[row+v]) {
+		h--
+		out[h] = m.Links[m.via[row+v]]
+	}
+	return out
 }
 
 // HasLatency reports whether any interconnect link carries a nonzero
@@ -296,7 +302,7 @@ func (m *Machine) PathLatency(u, v int) float64 {
 	if !m.hasLat {
 		return 0
 	}
-	return m.lats[u][v]
+	return m.lats[u*m.nVerts+v]
 }
 
 // NVerts returns the number of routing vertices.
@@ -329,40 +335,24 @@ func (m *Machine) Edges() []Edge {
 	return out
 }
 
-// VertexPath returns the interconnect links between two vertices.
-func (m *Machine) VertexPath(u, v int) []*Link { return m.paths[u][v] }
-
 // Hops returns the hop count between two vertices.
-func (m *Machine) Hops(u, v int) int { return m.hops[u][v] }
+func (m *Machine) Hops(u, v int) int { return int(m.hops[u*m.nVerts+v]) }
 
 // PathToDomain returns the links a core traverses to reach a domain's DRAM:
 // the interconnect hops plus the domain's memory bus. The core's own copy
 // engine is not included.
 func (m *Machine) PathToDomain(c *Core, d *MemDomain) []*Link {
-	p := m.paths[c.Vertex][d.Vertex]
-	out := make([]*Link, 0, len(p)+1)
-	out = append(out, p...)
-	out = append(out, d.Bus)
-	return out
+	return m.pathPlus(c.Vertex, d.Vertex, d.Bus)
 }
 
 // PathToGroup returns the links a core traverses to read from a cache
 // group: the interconnect hops plus the group's port.
 func (m *Machine) PathToGroup(c *Core, g *CacheGroup) []*Link {
-	p := m.paths[c.Vertex][g.Vertex]
-	out := make([]*Link, 0, len(p)+1)
-	out = append(out, p...)
-	out = append(out, g.Port)
-	return out
+	return m.pathPlus(c.Vertex, g.Vertex, g.Port)
 }
 
-// CoreDistance returns the hop distance between two cores' vertices. Cores
-// in the same domain are distance 0 from each other in NUMA terms even if
-// on different cache groups.
-func (m *Machine) CoreDistance(a, b *Core) int { return m.hops[a.Vertex][b.Vertex] }
-
 // DomainDistance returns the hop distance between two domains.
-func (m *Machine) DomainDistance(a, b *MemDomain) int { return m.hops[a.Vertex][b.Vertex] }
+func (m *Machine) DomainDistance(a, b *MemDomain) int { return m.Hops(a.Vertex, b.Vertex) }
 
 // NCores returns the number of cores.
 func (m *Machine) NCores() int { return len(m.Cores) }
@@ -384,7 +374,7 @@ func (m *Machine) MaxDomainDistance() int {
 	max := 0
 	for _, a := range m.Domains {
 		for _, b := range m.Domains {
-			if h := m.hops[a.Vertex][b.Vertex]; h > max {
+			if h := m.Hops(a.Vertex, b.Vertex); h > max {
 				max = h
 			}
 		}
