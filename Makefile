@@ -29,6 +29,8 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzClusterConfig -fuzztime=10s ./internal/topology
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTable -fuzztime=10s ./internal/tune
 	$(GO) test -run=NONE -fuzz=FuzzEventQueue -fuzztime=10s ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzSwapElision -fuzztime=10s ./internal/memsim
+	$(GO) test -run=NONE -fuzz=FuzzBatchRequest -fuzztime=10s ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=100ms ./internal/sim ./internal/memsim

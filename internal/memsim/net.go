@@ -50,6 +50,31 @@ type Net struct {
 	needSolve      bool
 	rateSolves     int64
 
+	// Same-route swap elision (elideSwap). Each full solve records, for
+	// every flow, the round that fixed it (flow.round); for every active
+	// link, the round its weight drained to 0 (linkRun.round); and for
+	// every use, whether the flow sits in the final equal-multiplicity run
+	// of that round's addends on the link (linkUse.tail). Rounds are
+	// numbered across solves (runRound), so a record left by an earlier
+	// solve never matches a current round. recorded says the records
+	// describe the live rates: a solve sets it; a disjoint fast-path
+	// change or a bandwidth change clears it until the next solve. While
+	// it holds, every live flow was priced by the last solve or by an
+	// elision that copied its records, so one flag covers all of them.
+	// Under Run solves happen only at a flush, so recorded cannot turn
+	// true mid-burst. burstAdds/burstDone count the instant's flow
+	// changes, and swapRate/swapRound/swapUses copy its last finished
+	// flow, which is recycled before the flush. swapElisions counts the
+	// flushes that skipped the solve, next to rateSolves.
+	recorded             bool
+	runRound             int64
+	linkRun              []linkRun
+	burstAdds, burstDone int
+	swapRate             float64
+	swapRound            int64
+	swapUses             []linkUse
+	swapElisions         int64
+
 	// linkWeight[i] is the total multiplicity of the active flows crossing
 	// link i, maintained incrementally on every add/remove. It lets the
 	// solver skip the full water-filling when a flow joins or leaves
@@ -68,6 +93,7 @@ type Net struct {
 	wfLinks  []int     // links with unfixed flows, first-use order
 	wfShare  []float64 // per-round share of wfLinks[k]
 	wfFlows  []*flow   // unfixed flows, in n.flows order
+	wfDone   []*flow   // flows fixed in the current round, in order
 	useEpoch int64
 	useMark  []int64
 	useMult  []float64
@@ -98,11 +124,20 @@ type Net struct {
 
 // linkUse is one link crossed by a flow; mult > 1 when the flow crosses the
 // link more than once (e.g. read and write through the same memory bus).
-// idx caches link.Index so the solver's inner loops stay pointer-free.
+// idx caches link.Index so the solver's inner loops stay pointer-free; it
+// is an int32 so that with tail the struct stays 24 bytes (at 32 the
+// solver's scans over flow uses ran ~7% slower per paper cell).
 type linkUse struct {
 	link *topology.Link
-	idx  int
 	mult float64
+	idx  int32
+	tail bool // solve record, see Net.recordRound
+}
+
+// linkRun is a link's solve record (Net.recordRound).
+type linkRun struct {
+	round int64   // last round that fixed a flow on the link
+	mult  float64 // multiplicity of that round's final run of addends
 }
 
 type flow struct {
@@ -111,6 +146,7 @@ type flow struct {
 	remaining float64
 	rate      float64
 	started   sim.Time
+	round     int64 // the solve round that fixed the flow (Net.recordRound)
 	// last is the instant of the flow's most recent depletion: its start,
 	// or the last time its rate changed. Depletion is lazy per flow (see
 	// depleteTo), so remaining is the bytes left as of last, not as of the
@@ -173,6 +209,7 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	n.wfShare = make([]float64, nl)
 	n.useMark = make([]int64, nl)
 	n.useMult = make([]float64, nl)
+	n.linkRun = make([]linkRun, nl)
 	n.onCompletionFn = n.onCompletion
 	n.repriceFn = n.flushReprice
 	return n
@@ -213,12 +250,13 @@ func (n *Net) Reset(stats *trace.Stats) {
 	n.nextAt = math.Inf(1)
 	n.nextBuf, n.flowSeq = 0, 0
 	n.repricePending, n.needSolve = false, false
-	n.rateSolves = 0
+	n.rateSolves, n.swapElisions = 0, 0
+	n.endBurst()
 	for i := range n.linkWeight {
 		n.linkWeight[i] = 0
 	}
-	// useEpoch stays monotone: useMark entries still carry old stamps, and
-	// a rewound epoch could collide with them.
+	// useEpoch and runRound stay monotone: useMark and linkRun entries
+	// still carry old stamps, and a rewound count could collide with them.
 }
 
 // SetClusterIslands scopes hardware cache coherence to the nodes of a
@@ -285,6 +323,7 @@ type LinkScaler interface {
 // Pass nil to restore full bandwidth. Values outside (0, 1] are clamped
 // to 1 so a misconfigured plan cannot stall the water-filling solver.
 func (n *Net) SetLinkScaler(s LinkScaler) {
+	n.recorded = false // live rates were solved under the old bandwidths
 	for i, l := range n.mach.Links {
 		n.bw[i] = l.BW
 		if s == nil {
@@ -418,7 +457,7 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 	n.flowSeq++
 	f.seq = n.flowSeq
 	for _, i := range n.useOrder {
-		f.uses = append(f.uses, linkUse{link: n.mach.Links[i], idx: i, mult: n.useMult[i]})
+		f.uses = append(f.uses, linkUse{link: n.mach.Links[i], idx: int32(i), mult: n.useMult[i]})
 	}
 	n.useOrder = n.useOrder[:0]
 
@@ -430,7 +469,7 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 		n.stats.CacheMisses++
 	}
 	for _, u := range f.uses {
-		n.stats.AddLinkBytesIdx(u.idx, int64(u.mult*float64(src.Len)))
+		n.stats.AddLinkBytesIdx(int(u.idx), int64(u.mult*float64(src.Len)))
 	}
 
 	f.engine, f.core, f.src, f.dst = engine, core, src, dst
@@ -539,11 +578,15 @@ func (n *Net) freeFlow(f *flow) {
 
 func (n *Net) addFlow(f *flow) {
 	n.flows = append(n.flows, f)
-	// Fast path: a flow sharing no link with any active flow cannot change
-	// the bottleneck set. Its own rate is the min residual share over its
-	// links (exactly what the full water-filling would assign it, since
-	// every one of its links carries zero fixed load and only its own
-	// weight), and every other rate is untouched.
+	n.burstAdds++
+	// Fast path: a flow sharing no link with any active flow keeps every
+	// other rate and gets the min share over its own links, bw/mult. That
+	// is exactly what the full water-filling would assign provided no
+	// other link's share lies within the solver's 1e-12 saturation window
+	// of that rate; inside the window a full solve would fix both at the
+	// lower share in one round (TestDisjointFastPathNearTie pins the
+	// fast path's answer there). Either way the rates no longer come from
+	// a solve, so the solve records are voided.
 	disjoint := true
 	for _, u := range f.uses {
 		if n.linkWeight[u.idx] != 0 {
@@ -565,6 +608,7 @@ func (n *Net) addFlow(f *flow) {
 		if t := f.finishAt(); t < n.nextAt {
 			n.nextAt = t
 		}
+		n.recorded = false
 		n.requestReprice(false)
 		return
 	}
@@ -582,12 +626,13 @@ func (n *Net) addFlow(f *flow) {
 // mid-burst rates are safe: no simulated time passes within an instant
 // (advance sees dt = 0), and the final solve depends only on the final
 // flow set — the same rates, bit for bit, that the solve-per-event code
-// converged to (the disjoint fast path is exact, see
-// TestDisjointFastPathExact). Outside Run (tests and tools driving the
-// Net directly) the change is priced synchronously, the historical
-// behaviour.
+// converged to (the disjoint fast path agrees with a full solve outside
+// the solver's 1e-12 saturation window, see addFlow). Outside Run (tests
+// and tools driving the Net directly) the change is priced synchronously,
+// the historical behaviour.
 func (n *Net) requestReprice(solve bool) {
 	if !n.eng.Running() {
+		n.endBurst()
 		if solve {
 			n.reschedule()
 		} else {
@@ -603,6 +648,56 @@ func (n *Net) requestReprice(solve bool) {
 		n.repricePending = true
 		n.eng.Defer(n.repriceFn)
 	}
+}
+
+// endBurst forgets the instant's flow changes once they are priced.
+func (n *Net) endBurst() {
+	n.burstAdds, n.burstDone = 0, 0
+}
+
+// elideSwap prices a burst whose only net change is a same-route swap —
+// one finished flow g replaced by one new flow a with identical uses —
+// without a solve, when the records of the solve that priced g prove that
+// re-solving would reproduce every rate bit for bit. Then a inherits g's
+// rate and records, the cached next completion takes a's, and it reports
+// true; otherwise it changes nothing.
+//
+// The solve is a pure function of bw and the ordered list of the flows'
+// uses, and the swap only moves g's route from its place in n.flows to the
+// end. Every round then shares, saturates and fixes exactly as before, a
+// in g's round r; the only float that can move is fixedLoad on g's links,
+// whose round-r addends g's addend now ends. For each of g's links either
+// (i) its weight drained in round r, so its fixedLoad is never read again,
+// or (ii) every flow fixed on it in round r after g has g's multiplicity
+// (use.tail), so the sequence of addends is unchanged. The check costs
+// O(route), never a pass over n.flows.
+func (n *Net) elideSwap() bool {
+	if !n.recorded || n.burstAdds != 1 || n.burstDone != 1 {
+		return false
+	}
+	// The burst's one add was appended last, and removals keep order.
+	a := n.flows[len(n.flows)-1]
+	if len(a.uses) != len(n.swapUses) {
+		return false
+	}
+	for k, u := range n.swapUses {
+		if v := a.uses[k]; v.idx != u.idx || v.mult != u.mult {
+			return false
+		}
+		if !u.tail && n.linkRun[u.idx].round != n.swapRound {
+			return false
+		}
+	}
+	// a's depletion is a no-op (it started this instant), and on a link
+	// where only (i) held a's tail flag is never consulted: any flow fixed
+	// there in round r passes (i).
+	a.rate, a.round = n.swapRate, n.swapRound
+	copy(a.uses, n.swapUses)
+	if t := a.finishAt(); t < n.nextAt {
+		n.nextAt = t
+	}
+	n.swapElisions++
+	return true
 }
 
 // provisionalFar is the placeholder delay used when no flow has been
@@ -641,20 +736,22 @@ func (n *Net) scheduleProvisional() {
 }
 
 // flushReprice ends the instant's burst: one water-filling over the final
-// flow set (if any change needed it), then the completion event's
-// provisional target is corrected in place. Retime preserves the event's
-// sequence number, so ties against other events at the same future
-// instant resolve exactly as they always did. A burst without a solve
-// priced every flow it added, so the cached minimum already stands.
+// flow set (if any change needed it, and no same-route swap elides it),
+// then the completion event's provisional target is corrected in place.
+// Retime preserves the event's sequence number, so ties against other
+// events at the same future instant resolve exactly as they always did. A
+// burst without a solve priced every flow it added, so the cached minimum
+// already stands; an elided swap priced its one new flow.
 func (n *Net) flushReprice() {
 	n.repricePending = false
 	if n.needSolve {
 		n.needSolve = false
-		if len(n.flows) > 0 {
+		if !n.elideSwap() && len(n.flows) > 0 {
 			n.recomputeRates()
 			n.nextAt = n.earliestCompletion()
 		}
 	}
+	n.endBurst()
 	if n.completion == nil {
 		return
 	}
@@ -781,6 +878,15 @@ func (n *Net) onCompletion() {
 			break
 		}
 	}
+	if len(finished) > 0 && disjoint {
+		n.recorded = false
+	}
+	n.burstDone += len(finished)
+	if len(finished) == 1 && n.recorded {
+		g := finished[0]
+		n.swapRate, n.swapRound = g.rate, g.round
+		n.swapUses = append(n.swapUses[:0], g.uses...)
+	}
 	for _, f := range finished {
 		n.finishFlow(f)
 	}
@@ -803,6 +909,7 @@ func (n *Net) onCompletion() {
 // lives in persistent scratch on Net, so the solver allocates nothing.
 func (n *Net) recomputeRates() {
 	n.rateSolves++
+	n.recorded = true
 	now := n.eng.Now()
 	fixedLoad, weight, saturated := n.wfFixed, n.wfWeight, n.wfSat
 	// Collect the links the live flows cross. wfWeight is all zero between
@@ -816,7 +923,7 @@ func (n *Net) recomputeRates() {
 			if weight[u.idx] == 0 {
 				weight[u.idx] = n.linkWeight[u.idx]
 				fixedLoad[u.idx] = 0
-				links = append(links, u.idx)
+				links = append(links, int(u.idx))
 			}
 		}
 	}
@@ -850,7 +957,7 @@ func (n *Net) recomputeRates() {
 		for k, i := range links {
 			saturated[i] = shares[k] <= share*(1+1e-12)
 		}
-		kept := unfixed[:0]
+		kept, done := unfixed[:0], n.wfDone[:0]
 		for _, f := range unfixed {
 			bottled := false
 			for _, u := range f.uses {
@@ -871,11 +978,42 @@ func (n *Net) recomputeRates() {
 				fixedLoad[u.idx] += share * u.mult
 				weight[u.idx] -= u.mult
 			}
+			done = append(done, f)
 		}
 		if len(kept) == len(unfixed) {
 			panic("memsim: water-filling made no progress")
 		}
+		n.recordRound(done)
+		n.wfDone = done[:0]
 		unfixed = kept
 	}
 	n.wfLinks, n.wfFlows = links, unfixed
+}
+
+// recordRound writes the solve records elideSwap reads for the flows one
+// round fixed, in fixing order: each flow's round; for each of their
+// links the round, so that once the solve ends linkRun holds the last
+// round that fixed a flow on the link, the one its weight drained in; and
+// per use whether every flow fixed on the link later in the round has the
+// same multiplicity. A reverse pass opens each link's run at its last
+// addend and breaks it (mult 0; real multiplicities are >= 1) at the
+// first differing one.
+func (n *Net) recordRound(done []*flow) {
+	n.runRound++
+	r := n.runRound
+	for k := len(done) - 1; k >= 0; k-- {
+		f := done[k]
+		f.round = r
+		for j := range f.uses {
+			u := &f.uses[j]
+			lr := &n.linkRun[u.idx]
+			if lr.round != r {
+				lr.round, lr.mult = r, u.mult
+			}
+			u.tail = u.mult == lr.mult
+			if !u.tail {
+				lr.mult = 0
+			}
+		}
+	}
 }

@@ -201,12 +201,21 @@ func TestSolverMatchesBruteForce(t *testing.T) {
 }
 
 // TestBurstRepriceCoalesced pins the batching: a burst of k contending
-// copies starting at one instant costs exactly one water-filling solve,
-// and the rates standing at the end of the instant match the brute-force
-// reference over the final flow set.
+// copies starting at one instant costs exactly one water-filling solve and
+// no elision, and the rates standing at the end of the instant match the
+// brute-force reference over the final flow set. Over the whole run,
+// every flush that needed a solve either solved or elided a same-route
+// swap.
 func TestBurstRepriceCoalesced(t *testing.T) {
 	m := topology.Saturn()
 	e, n := setup(m)
+	needed := int64(0)
+	n.repriceFn = func() {
+		if n.needSolve {
+			needed++
+		}
+		n.flushReprice()
+	}
 	const k = 12
 	var views [k]struct{ dst, src View }
 	for i := 0; i < k; i++ {
@@ -226,6 +235,9 @@ func TestBurstRepriceCoalesced(t *testing.T) {
 			if got := n.rateSolves - before; got != 1 {
 				t.Errorf("burst of %d adds cost %d solves, want 1", k, got)
 			}
+			if n.swapElisions != 0 {
+				t.Errorf("burst of %d adds elided %d solves, want 0", k, n.swapElisions)
+			}
 			checkAgainstReference(t, n, "after burst")
 		})
 	})
@@ -234,6 +246,9 @@ func TestBurstRepriceCoalesced(t *testing.T) {
 	}
 	if n.Busy() != 0 {
 		t.Fatalf("%d flows leaked", n.Busy())
+	}
+	if got := n.rateSolves + n.swapElisions; got != needed {
+		t.Errorf("%d solves + %d elisions, want %d", n.rateSolves, n.swapElisions, needed)
 	}
 }
 
@@ -252,7 +267,10 @@ func TestRescheduleAllocationFree(t *testing.T) {
 
 // TestDisjointFastPathExact verifies the incremental fast path bit-for-bit:
 // a flow sharing no link with the active set must get exactly the rate the
-// full solver would assign, with every other rate left untouched. The Net
+// full solver would assign, with every other rate left untouched, provided
+// no other link's share lies within the solver's 1e-12 saturation window
+// of the new flow's rate (TestDisjointFastPathNearTie pins the fast path
+// inside the window, where a full solve differs). The Net
 // is driven outside Run, so every add reprices synchronously and the
 // cached earliest completion must match a scan after each one.
 func TestDisjointFastPathExact(t *testing.T) {
