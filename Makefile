@@ -30,6 +30,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTable -fuzztime=10s ./internal/tune
 	$(GO) test -run=NONE -fuzz=FuzzEventQueue -fuzztime=10s ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzSwapElision -fuzztime=10s ./internal/memsim
+	$(GO) test -run=NONE -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzBatchRequest -fuzztime=10s ./internal/serve
 
 bench:

@@ -233,11 +233,11 @@ func TestGoldenValues(t *testing.T) {
 			tol = 0
 		}
 		if math.Abs(res.Seconds-g.want) > tol {
-			t.Errorf("%s/%s/%s/%d/%v = %.17g, golden %.17g — model drift (regenerate if intentional)",
+			t.Errorf("%s/%s/%s/%d/%+v = %.17g, golden %.17g — model drift (regenerate if intentional)",
 				g.machine, g.comp, g.op, g.size, g.fault, res.Seconds, g.want)
 		}
 		if got := res.Stats.String(); g.stats != "" && got != g.stats {
-			t.Errorf("%s/%s/%s/%d/%v stats drift:\n got  %s\n want %s", g.machine, g.comp, g.op, g.size, g.fault, got, g.stats)
+			t.Errorf("%s/%s/%s/%d/%+v stats drift:\n got  %s\n want %s", g.machine, g.comp, g.op, g.size, g.fault, got, g.stats)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/coll"
 	"repro/internal/coll/tuned"
-	"repro/internal/fault"
 	"repro/internal/knem"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
@@ -221,93 +220,20 @@ func (c *Component) Leaders() []int { return append([]int(nil), c.leader...) }
 // Name implements mpi.Coll.
 func (c *Component) Name() string { return "hier-" + c.cfg.Inter }
 
-// injector returns the world's fault injector, or nil.
-func (c *Component) injector() *fault.Injector { return c.w.Knem().Injector() }
-
 // enter applies the per-entry fault bookkeeping (straggler delay).
 func (c *Component) enter(r *mpi.Rank) {
-	if in := c.injector(); in != nil {
+	if in := c.w.Knem().Injector(); in != nil {
 		if d := in.Straggle(r.ID()); d > 0 {
 			r.Sleep(d)
 		}
 	}
 }
 
-// --- fault helpers (the degradation idiom of internal/core) --------------
-
 // hierCookie announces a leader's KNEM region to its node peers; the zero
 // value announces a whole-phase fallback to the generic algorithm.
 type hierCookie struct {
 	cookie knem.Cookie
 	n      int64
-}
-
-// hierResp is a peer's single response: ok, or a NACK asking for a resend.
-type hierResp struct {
-	ok bool
-}
-
-// tryCreate registers a region, retrying transient failures under the
-// plan's budget; without an injector a failure is a bug.
-func (c *Component) tryCreate(r *mpi.Rank, v memsim.View, dir knem.Direction) (knem.Cookie, bool) {
-	in := c.injector()
-	for attempt := 0; ; attempt++ {
-		ck, err := r.Knem().CreateView(r.Proc(), r.ID(), v, dir)
-		switch {
-		case err == nil:
-			return ck, true
-		case in == nil:
-			panic(fmt.Sprintf("hier: rank %d knem create: %v", r.ID(), err))
-		case err == knem.ErrAgain && attempt < in.MaxRetries():
-			r.Stats().Retries++
-			r.Sleep(in.Backoff(attempt))
-		default:
-			return 0, false
-		}
-	}
-}
-
-// tryCopy copies through a region, retrying transient failures.
-func (c *Component) tryCopy(r *mpi.Rank, local memsim.View, ck knem.Cookie, off int64, dir knem.Direction) error {
-	in := c.injector()
-	for attempt := 0; ; attempt++ {
-		err := r.Knem().CopyView(r.Proc(), r.Core(), local, ck, off, dir)
-		switch {
-		case err == nil:
-			return nil
-		case in == nil:
-			panic(fmt.Sprintf("hier: rank %d knem copy: %v", r.ID(), err))
-		case err == knem.ErrAgain && attempt < in.MaxRetries():
-			r.Stats().Retries++
-			r.Sleep(in.Backoff(attempt))
-		default:
-			return err
-		}
-	}
-}
-
-// destroyQuiet deregisters, tolerating an injected invalidation.
-func (c *Component) destroyQuiet(r *mpi.Rank, ck knem.Cookie) {
-	if ck == 0 {
-		return
-	}
-	if err := r.Knem().Destroy(r.Proc(), ck); err != nil && err != knem.ErrInvalidCookie {
-		panic(fmt.Sprintf("hier: rank %d knem destroy: %v", r.ID(), err))
-	}
-}
-
-func (c *Component) noteFallback(r *mpi.Rank, op string) {
-	r.Stats().Fallbacks++
-	if in := c.injector(); in != nil {
-		in.Event("fallback", fmt.Sprintf("rank %d %s", r.ID(), op))
-	}
-}
-
-func (c *Component) noteResend(r *mpi.Rank, op string) {
-	r.Stats().Resends++
-	if in := c.injector(); in != nil {
-		in.Event("resend", fmt.Sprintf("rank %d %s", r.ID(), op))
-	}
 }
 
 // --- intra-node building blocks ------------------------------------------
@@ -330,9 +256,9 @@ func (c *Component) intraBcast(r *mpi.Rank, v memsim.View, tag int) {
 		return
 	}
 	if me == lead {
-		ck, ok := c.tryCreate(r, v, knem.DirRead)
+		ck, ok := coll.TryCreate(r, v, knem.DirRead)
 		if !ok {
-			c.noteFallback(r, "hier-bcast-intra")
+			coll.NoteFallback(r, "hier-bcast-intra")
 			for _, m := range ms {
 				if m != me {
 					r.SendOOB(m, tag+1, hierCookie{})
@@ -346,8 +272,8 @@ func (c *Component) intraBcast(r *mpi.Rank, v memsim.View, tag int) {
 				r.SendOOB(m, tag+1, hierCookie{cookie: ck, n: v.Len})
 			}
 		}
-		c.collectAndResend(r, v, tag+2, tag+3, len(ms)-1, "hier-bcast-intra")
-		c.destroyQuiet(r, ck)
+		coll.CollectAndResend(r, v, tag+2, tag+3, len(ms)-1, "hier-bcast-intra")
+		coll.Destroy(r, ck)
 		return
 	}
 	msg, _ := r.RecvOOB(lead, tag+1)
@@ -356,28 +282,12 @@ func (c *Component) intraBcast(r *mpi.Rank, v memsim.View, tag int) {
 		coll.BcastBinomial(nr, v, c.leadPos[d], nr.CollTag())
 		return
 	}
-	if err := c.tryCopy(r, v, cm.cookie, 0, knem.DirRead); err != nil {
-		r.SendOOB(lead, tag+2, hierResp{ok: false})
+	if err := coll.TryCopy(r, v, cm.cookie, 0, knem.DirRead); err != nil {
+		r.SendOOB(lead, tag+2, coll.Nack{})
 		r.Recv(lead, tag+3, v)
 		return
 	}
-	r.SendOOB(lead, tag+2, hierResp{ok: true})
-}
-
-// collectAndResend gathers n peer responses and serves every NACK with a
-// point-to-point resend of v.
-func (c *Component) collectAndResend(r *mpi.Rank, v memsim.View, respTag, dataTag, n int, op string) {
-	var nacks []int
-	for i := 0; i < n; i++ {
-		m, from := r.RecvOOB(mpi.AnySource, respTag)
-		if !m.(hierResp).ok {
-			nacks = append(nacks, from)
-		}
-	}
-	for _, from := range nacks {
-		c.noteResend(r, op)
-		r.Send(from, dataTag, v)
-	}
+	r.SendOOB(lead, tag+2, coll.Ack{})
 }
 
 // interBcast moves v among the leaders, rooted at dense node rootNode.
@@ -409,7 +319,7 @@ func (c *Component) Barrier(r *mpi.Rank) {
 	d := c.nodeOf[me]
 	lead := c.leader[d]
 	if me != lead {
-		r.SendOOB(lead, tag, hierResp{ok: true})
+		r.SendOOB(lead, tag, coll.Ack{})
 		r.RecvOOB(lead, tag+1)
 		return
 	}
@@ -421,7 +331,7 @@ func (c *Component) Barrier(r *mpi.Rank) {
 	coll.Dissemination(lr, lr.CollTag())
 	for _, m := range ms {
 		if m != me {
-			r.SendOOB(m, tag+1, hierResp{ok: true})
+			r.SendOOB(m, tag+1, coll.Ack{})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/coll"
 	"repro/internal/knem"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
@@ -19,16 +20,21 @@ import (
 // Out-of-band protocol per Broadcast (tag strides):
 //
 //	tag+0  root   -> locals & remote leaders : root region cookie
-//	tag+1  locals & remote leaders -> root   : final ACK
+//	tag+1  locals & remote leaders -> root   : final response
 //	tag+2  leader -> its members             : leader region cookie
 //	tag+3  leader -> its members             : "segment s landed"
-//	tag+4  members -> leader                 : final ACK
+//	tag+4  members -> leader                 : final response
+//	tag+5  root   -> a NACKer                : resent data
+//	tag+6  leader -> its members             : streamed segments, resent data
+//
+// Degradation happens at every level: a root that cannot register falls
+// the whole operation back (leaders pass the verdict to their leaves); a
+// leader that cannot register streams segments to its leaves
+// point-to-point; a reader that loses its source region NACKs once and
+// receives the remainder point-to-point, while still consuming the stale
+// segment notifications its provider keeps sending.
 
 func (c *Component) bcastHierarchical(r *mpi.Rank, v memsim.View, root int) {
-	if c.faulty() {
-		c.bcastHierarchicalFault(r, v, root)
-		return
-	}
 	tag := r.CollTag()
 	me := r.ID()
 	rootDom := c.domainOf[root]
@@ -44,34 +50,42 @@ func (c *Component) bcastHierarchical(r *mpi.Rank, v memsim.View, root int) {
 
 	switch {
 	case me == root:
-		ck := c.mustCreate(r, v, knem.DirRead)
+		ck, ok := c.register(r, v, knem.DirRead, "bcast-hier")
+		m := offer(ok, cookieMsg{cookie: ck, n: v.Len})
 		targets := 0
-		for _, m := range c.members[rootDom] {
-			if m != root {
-				r.SendOOB(m, tag, c.ck(cookieMsg{cookie: ck, n: v.Len}))
+		for _, peer := range c.members[rootDom] {
+			if peer != root {
+				r.SendOOB(peer, tag, c.ck(m))
 				targets++
 			}
 		}
 		for d := range c.members {
 			if d != rootDom && len(c.members[d]) > 0 {
-				r.SendOOB(leaderOf(d), tag, c.ck(cookieMsg{cookie: ck, n: v.Len}))
+				r.SendOOB(leaderOf(d), tag, c.ck(m))
 				targets++
 			}
 		}
-		c.finishRoot(r, ck, tag+1, targets)
+		if !ok {
+			c.fb.Bcast(r, v, root)
+			return
+		}
+		c.finishRoot(r, ck, v, tag+1, tag+5, targets, "bcast-hier")
 
 	case myDom == rootDom:
 		// Local leaf of the root's domain: one direct full read.
 		msg, _ := r.RecvOOB(root, tag)
 		cm := c.cookieOf(msg)
-		c.mustCopy(r, v, cm.cookie, 0, knem.DirRead)
-		r.SendOOB(root, tag+1, ackMsg{})
+		if opFallback(cm) {
+			c.fb.Bcast(r, v, root)
+			return
+		}
+		c.access(r, v, cm.cookie, 0, knem.DirRead, root, tag+1, tag+5)
 
 	case me == leaderOf(myDom):
 		c.bcastLeader(r, v, root, tag, seg)
 
 	default:
-		c.bcastLeaf(r, v, leaderOf(myDom), tag, seg)
+		c.bcastLeaf(r, v, root, leaderOf(myDom), tag, seg)
 	}
 }
 
@@ -84,53 +98,85 @@ func (c *Component) bcastLeader(r *mpi.Rank, v memsim.View, root, tag int, seg i
 	// no per-call slice build on the steady-state broadcast path.
 	leaves := c.members[c.domainOf[me]][1:]
 	msg, _ := r.RecvOOB(root, tag)
-	rootCk := c.cookieOf(msg).cookie
+	cm := c.cookieOf(msg)
+	if opFallback(cm) {
+		for _, l := range leaves {
+			r.SendOOB(l, tag+2, c.ck(cookieMsg{}))
+		}
+		c.fb.Bcast(r, v, root)
+		return
+	}
+	rootCk := cm.cookie
 
 	if len(leaves) == 0 {
 		// Alone on the domain: a single full read, no local level.
-		c.mustCopy(r, v, rootCk, 0, knem.DirRead)
-		r.SendOOB(root, tag+1, ackMsg{})
+		c.access(r, v, rootCk, 0, knem.DirRead, root, tag+1, tag+5)
 		return
 	}
-	ownCk := c.mustCreate(r, v, knem.DirRead)
+	// Without a region of its own the leader announces streaming mode
+	// (zero cookie, nonzero length) and pushes each segment point-to-point.
+	ownCk, haveRegion := c.register(r, v, knem.DirRead, "bcast-hier-leader")
 	for _, l := range leaves {
 		r.SendOOB(l, tag+2, c.ck(cookieMsg{cookie: ownCk, n: v.Len}))
 	}
+	rootOK := true
+	var streamSends []*mpi.Request
 	s := 0
-	for off := int64(0); off < v.Len; off += seg {
-		n := seg
-		if rem := v.Len - off; rem < n {
-			n = rem
+	eachSegment(v.Len, seg, func(off, n int64) {
+		if rootOK {
+			rootOK = c.pull(r, v, off, n, rootCk, root, tag+1, tag+5)
 		}
-		c.mustCopy(r, v.SubView(off, n), rootCk, off, knem.DirRead)
 		for _, l := range leaves {
-			r.SendOOB(l, tag+3, c.sg(s))
+			if haveRegion {
+				r.SendOOB(l, tag+3, c.sg(s))
+			} else {
+				streamSends = append(streamSends, r.Isend(l, tag+6, v.SubView(off, n)))
+			}
 		}
 		s++
-	}
+	})
+	r.Wait(streamSends...)
 	// The leader's duty to the root ends with its own reads; its region
 	// must only outlive the leaves' reads.
-	r.SendOOB(root, tag+1, ackMsg{})
-	c.finishRoot(r, ownCk, tag+4, len(leaves))
+	if rootOK {
+		r.SendOOB(root, tag+1, coll.Ack{})
+	}
+	if haveRegion {
+		c.finishRoot(r, ownCk, v, tag+4, tag+6, len(leaves), "bcast-hier-leader")
+	}
 }
 
 // bcastLeaf reads each segment from its leader's region as soon as the
 // leader announces it.
-func (c *Component) bcastLeaf(r *mpi.Rank, v memsim.View, leader, tag int, seg int64) {
+func (c *Component) bcastLeaf(r *mpi.Rank, v memsim.View, root, leader, tag int, seg int64) {
 	msg, _ := r.RecvOOB(leader, tag+2)
-	ck := c.cookieOf(msg).cookie
+	cm := c.cookieOf(msg)
+	if opFallback(cm) {
+		c.fb.Bcast(r, v, root)
+		return
+	}
+	if cm.cookie == 0 {
+		// Streaming leader: segments arrive point-to-point, no response.
+		eachSegment(v.Len, seg, func(off, n int64) {
+			r.Recv(leader, tag+6, v.SubView(off, n))
+		})
+		return
+	}
+	alive := true
 	s := 0
-	for off := int64(0); off < v.Len; off += seg {
-		n := seg
-		if rem := v.Len - off; rem < n {
-			n = rem
-		}
+	eachSegment(v.Len, seg, func(off, n int64) {
+		// Always consume the notification: the leader keeps sending them
+		// even after this leaf lost the region.
 		ready, _ := r.RecvOOB(leader, tag+3)
 		if got := c.segOf(ready); got != s {
 			panic("core: pipeline segment out of order")
 		}
-		c.mustCopy(r, v.SubView(off, n), ck, off, knem.DirRead)
+		if alive {
+			alive = c.pull(r, v, off, n, cm.cookie, leader, tag+4, tag+6)
+		}
 		s++
+	})
+	if alive {
+		r.SendOOB(leader, tag+4, coll.Ack{})
 	}
-	r.SendOOB(leader, tag+4, ackMsg{})
 }

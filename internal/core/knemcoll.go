@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/coll"
 	"repro/internal/coll/tuned"
+	"repro/internal/fault"
 	"repro/internal/knem"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
@@ -72,7 +73,9 @@ type Config struct {
 	// DMA engines (§III) with up to DMADepth transfers in flight per
 	// rank: the engine streams one block while the core sets up the
 	// next, instead of serializing the P-1 reads on the core. Ignored on
-	// machines without DMA engines (Spec.DMABw == 0).
+	// machines without DMA engines (Spec.DMABw == 0). Under a fault plan
+	// that can fail KNEM calls each transfer completes before the next, so
+	// an engine failure can degrade to a kernel copy.
 	DMADepth int
 	// RingAllgather replaces the paper's Gather+Bcast Allgather
 	// composition (§V-C) with the ring-style algorithm the paper
@@ -97,7 +100,9 @@ type Config struct {
 	// single access; synchronization overhead is amortized) and matters
 	// for applications like ASP whose per-rank compute is uneven: the
 	// root stops absorbing the stragglers' skew. The strict protocol
-	// (default) matches §V-B exactly.
+	// (default) matches §V-B exactly. Ignored under a fault plan that can
+	// fail KNEM calls: a peer that NACKs needs its owner's answer before
+	// the operation returns.
 	LazySync bool
 	// Fallback builds the delegate component (default: Open MPI Tuned).
 	Fallback func(w *mpi.World) mpi.Coll
@@ -166,30 +171,57 @@ func (c *Component) drainPending(r *mpi.Rank) {
 	ck := ps.cookie
 	*ps = pendingSync{}
 	c.psPool = append(c.psPool, ps)
-	if c.faulty() {
-		c.destroyQuiet(r, ck)
-		return
-	}
-	c.mustDestroy(r, ck)
+	coll.Destroy(r, ck)
 }
 
-// finishRoot either waits for the peers' ACKs and deregisters now (strict
-// §V-B protocol) or defers both to the rank's next entry (LazySync).
-func (c *Component) finishRoot(r *mpi.Rank, ck knem.Cookie, ackTag, nACKs int) {
-	if c.cfg.LazySync {
-		// Drain any state a previous operation left behind before it is
-		// overwritten: overwriting would leak the old region and strand its
-		// unconsumed ACKs in the out-of-band queue.
-		c.drainPending(r)
-		ps := c.newPending()
-		ps.cookie, ps.tag, ps.nACKs = ck, ackTag, nACKs
-		c.pending[r.ID()] = ps
+// finishRoot completes a broadcast region owner's side once its cookies
+// are out: it collects one response per peer handed the cookie, resends v
+// from each NACKed offset on dataTag, and deregisters (strict §V-B
+// protocol) — or, under LazySync, defers collection and deregistration to
+// the rank's next entry.
+func (c *Component) finishRoot(r *mpi.Rank, ck knem.Cookie, v memsim.View, respTag, dataTag, n int, op string) {
+	if c.lazy() {
+		c.deferSync(r, ck, respTag, n)
 		return
 	}
-	for i := 0; i < nACKs; i++ {
-		r.RecvOOB(mpi.AnySource, ackTag)
+	coll.CollectAndResend(r, v, respTag, dataTag, n, op)
+	coll.Destroy(r, ck)
+}
+
+// lazy reports whether rooted operations defer their synchronization:
+// LazySync is on and no KNEM call can fail (a peer that may NACK needs its
+// owner to answer before the operation returns).
+func (c *Component) lazy() bool { return c.cfg.LazySync && !c.canFail() }
+
+// deferSync parks the collection of n ACKs on tag, and the deregistration
+// of ck, until rank r next enters the component.
+func (c *Component) deferSync(r *mpi.Rank, ck knem.Cookie, tag, n int) {
+	// Drain any state a previous operation left behind before it is
+	// overwritten: overwriting would leak the old region and strand its
+	// unconsumed ACKs in the out-of-band queue.
+	c.drainPending(r)
+	ps := c.newPending()
+	ps.cookie, ps.tag, ps.nACKs = ck, tag, n
+	c.pending[r.ID()] = ps
+}
+
+// injector returns the world's fault injector, or nil.
+func (c *Component) injector() *fault.Injector { return c.w.Knem().Injector() }
+
+// canFail reports whether the world's fault plan can fail a KNEM call;
+// only then do the protocols run their failure handshakes.
+func (c *Component) canFail() bool { return c.injector().CanFail() }
+
+// enter runs the per-entry bookkeeping of every collective: draining the
+// previous lazy synchronization and, under a fault plan, the configured
+// straggler delay for this rank.
+func (c *Component) enter(r *mpi.Rank) {
+	c.drainPending(r)
+	if in := c.injector(); in != nil {
+		if d := in.Straggle(r.ID()); d > 0 {
+			r.Sleep(d)
+		}
 	}
-	c.mustDestroy(r, ck)
 }
 
 // FlushPending drains every deferred synchronization this rank still owes
@@ -350,7 +382,6 @@ type (
 	segReady struct {
 		seg int
 	}
-	ackMsg struct{}
 	a2aMsg struct {
 		cookie  knem.Cookie
 		sdispls []int64
@@ -404,25 +435,58 @@ func (c *Component) segOf(msg any) int {
 	return s
 }
 
-func (c *Component) mustCopy(r *mpi.Rank, local memsim.View, ck knem.Cookie, off int64, dir knem.Direction) {
-	err := c.w.Knem().CopyView(r.Proc(), r.Core(), local, ck, off, dir)
-	if err != nil {
-		panic(fmt.Sprintf("core: rank %d knem copy: %v", r.ID(), err))
+// register declares v as a region for an operation's peers. A failed
+// registration counts one fallback for op and returns ok=false: the caller
+// announces it and degrades.
+func (c *Component) register(r *mpi.Rank, v memsim.View, dir knem.Direction, op string) (knem.Cookie, bool) {
+	ck, ok := coll.TryCreate(r, v, dir)
+	if !ok {
+		coll.NoteFallback(r, op)
 	}
+	return ck, ok
 }
 
-func (c *Component) mustCreate(r *mpi.Rank, v memsim.View, dir knem.Direction) knem.Cookie {
-	ck, err := c.w.Knem().CreateView(r.Proc(), r.ID(), v, dir)
-	if err != nil {
-		panic(fmt.Sprintf("core: rank %d knem create: %v", r.ID(), err))
+// offer returns the cookie message m, or — when registration failed — the
+// zero message announcing a whole-operation fallback.
+func offer(ok bool, m cookieMsg) cookieMsg {
+	if !ok {
+		return cookieMsg{}
 	}
-	return ck
+	return m
 }
 
-func (c *Component) mustDestroy(r *mpi.Rank, ck knem.Cookie) {
-	if err := c.w.Knem().Destroy(r.Proc(), ck); err != nil {
-		panic(fmt.Sprintf("core: rank %d knem destroy: %v", r.ID(), err))
+// opFallback reports whether a cookie message announces a whole-operation
+// fallback (registration failed before any per-peer state existed).
+func opFallback(cm cookieMsg) bool { return cm.cookie == 0 && cm.n == 0 }
+
+// access moves a peer's block local through the owner's region at off and
+// sends the owner its one response. If the copy fails the peer NACKs and
+// the block moves point-to-point on dataTag instead: received for a read,
+// sent for a write.
+func (c *Component) access(r *mpi.Rank, local memsim.View, ck knem.Cookie, off int64, dir knem.Direction, owner, respTag, dataTag int) {
+	if err := coll.TryCopy(r, local, ck, off, dir); err != nil {
+		r.SendOOB(owner, respTag, coll.Nack{})
+		if dir == knem.DirWrite {
+			r.Send(owner, dataTag, local)
+		} else {
+			r.Recv(owner, dataTag, local)
+		}
+		return
 	}
+	r.SendOOB(owner, respTag, coll.Ack{})
+}
+
+// pull reads segment [off, off+n) of v from the provider's region. If the
+// read fails it NACKs the provider with off and receives the rest of v
+// point-to-point, reporting false: the caller reads no further and owes
+// no other response.
+func (c *Component) pull(r *mpi.Rank, v memsim.View, off, n int64, ck knem.Cookie, provider, respTag, dataTag int) bool {
+	if err := coll.TryCopy(r, v.SubView(off, n), ck, off, knem.DirRead); err != nil {
+		r.SendOOB(provider, respTag, coll.Nack{Off: off})
+		r.Recv(provider, dataTag, v.SubView(off, v.Len-off))
+		return false
+	}
+	return true
 }
 
 // Barrier delegates to the fallback component.
@@ -451,28 +515,35 @@ func (c *Component) Bcast(r *mpi.Rank, v memsim.View, root int) {
 
 // bcastLinear: the root declares one read region; every receiver core
 // copies the full buffer in parallel, then ACKs; the root deregisters
-// after all ACKs (§V-B steps 1-6).
+// after all ACKs (§V-B steps 1-6). A root that cannot register falls the
+// whole operation back to the delegate; a receiver whose read fails NACKs
+// and receives the buffer point-to-point.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent data.
 func (c *Component) bcastLinear(r *mpi.Rank, v memsim.View, root int) {
-	if c.faulty() {
-		c.bcastLinearFault(r, v, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, v, knem.DirRead)
+		ck, ok := c.register(r, v, knem.DirRead, "bcast-linear")
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, n: v.Len}))
+				r.SendOOB(i, tag, c.ck(offer(ok, cookieMsg{cookie: ck, n: v.Len})))
 			}
 		}
-		c.finishRoot(r, ck, tag+1, p-1)
+		if !ok {
+			c.fb.Bcast(r, v, root)
+			return
+		}
+		c.finishRoot(r, ck, v, tag+1, tag+2, p-1, "bcast-linear")
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, v, cm.cookie, cm.off, knem.DirRead)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if opFallback(cm) {
+		c.fb.Bcast(r, v, root)
+		return
+	}
+	c.access(r, v, cm.cookie, cm.off, knem.DirRead, root, tag+1, tag+2)
 }
 
 // Scatter sends block i of the root buffer to rank i; receivers read their
@@ -499,28 +570,43 @@ func (c *Component) Scatterv(r *mpi.Rank, send memsim.View, scounts, sdispls []i
 	c.scatterKnem(r, send, scounts, sdispls, recv, root)
 }
 
+// scatterKnem degrades a failed root registration to the delegate's
+// Scatterv and failed peer reads to point-to-point resends of the block.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent blocks.
 func (c *Component) scatterKnem(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, root int) {
-	if c.faulty() {
-		c.scatterKnemFault(r, send, scounts, sdispls, recv, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, send, knem.DirRead)
+		ck, ok := c.register(r, send, knem.DirRead, "scatter")
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, off: sdispls[i], n: scounts[i]}))
+				r.SendOOB(i, tag, c.ck(offer(ok, cookieMsg{cookie: ck, off: sdispls[i], n: scounts[i]})))
 			}
 		}
+		if !ok {
+			c.fb.Scatterv(r, send, scounts, sdispls, recv, root)
+			return
+		}
 		r.LocalCopy(recv.SubView(0, scounts[root]), coll.VBlock(send, scounts, sdispls, root))
-		c.finishRoot(r, ck, tag+1, p-1)
+		if c.lazy() {
+			c.deferSync(r, ck, tag+1, p-1)
+			return
+		}
+		for _, nk := range coll.Collect(r, tag+1, p-1) {
+			coll.NoteResend(r, "scatter")
+			r.Send(nk.From, tag+2, coll.VBlock(send, scounts, sdispls, nk.From))
+		}
+		coll.Destroy(r, ck)
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, recv.SubView(0, cm.n), cm.cookie, cm.off, knem.DirRead)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if opFallback(cm) {
+		c.fb.Scatterv(r, send, scounts, sdispls, recv, root)
+		return
+	}
+	c.access(r, recv.SubView(0, cm.n), cm.cookie, cm.off, knem.DirRead, root, tag+1, tag+2)
 }
 
 // Gather uses direction control (§V-B): the root declares its receive
@@ -548,31 +634,40 @@ func (c *Component) Gatherv(r *mpi.Rank, send, recv memsim.View, rcounts, rdispl
 	c.gatherKnem(r, send, recv, rcounts, rdispls, root)
 }
 
+// gatherKnem degrades a failed root registration to the delegate's
+// Gatherv; a peer whose write fails NACKs and sends its block
+// point-to-point for the root to place.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent blocks.
 func (c *Component) gatherKnem(r *mpi.Rank, send, recv memsim.View, rcounts, rdispls []int64, root int) {
-	if c.faulty() {
-		c.gatherKnemFault(r, send, recv, rcounts, rdispls, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, recv, knem.DirWrite)
+		ck, ok := c.register(r, recv, knem.DirWrite, "gather")
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, off: rdispls[i], n: rcounts[i]}))
+				r.SendOOB(i, tag, c.ck(offer(ok, cookieMsg{cookie: ck, off: rdispls[i], n: rcounts[i]})))
 			}
 		}
-		r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, root), send.SubView(0, rcounts[root]))
-		for i := 0; i < p-1; i++ {
-			r.RecvOOB(mpi.AnySource, tag+1)
+		if !ok {
+			c.fb.Gatherv(r, send, recv, rcounts, rdispls, root)
+			return
 		}
-		c.mustDestroy(r, ck)
+		r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, root), send.SubView(0, rcounts[root]))
+		for _, nk := range coll.Collect(r, tag+1, p-1) {
+			coll.NoteResend(r, "gather")
+			r.Recv(nk.From, tag+2, coll.VBlock(recv, rcounts, rdispls, nk.From))
+		}
+		coll.Destroy(r, ck)
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, send.SubView(0, cm.n), cm.cookie, cm.off, knem.DirWrite)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if opFallback(cm) {
+		c.fb.Gatherv(r, send, recv, rcounts, rdispls, root)
+		return
+	}
+	c.access(r, send.SubView(0, cm.n), cm.cookie, cm.off, knem.DirWrite, root, tag+1, tag+2)
 }
 
 // Allgather is the paper's assembly of a KNEM Gather to rank 0 followed by
@@ -635,58 +730,114 @@ func (c *Component) Alltoallv(r *mpi.Rank, send memsim.View, scounts, sdispls []
 	c.alltoallKnem(r, send, scounts, sdispls, recv, rcounts, rdispls)
 }
 
+// alltoallKnem degrades per sender: a rank that cannot register its send
+// buffer publishes the zero cookie and pushes its blocks point-to-point
+// instead. When KNEM calls can fail, every reader answers each region it
+// was handed with one response; a reader that loses a peer's region posts
+// a receive, NACKs, and keeps walking the rotated schedule without ever
+// blocking a loop an owner depends on, and owners resend lost blocks
+// before deregistering. Otherwise a barrier guards deregistration.
+//
+// Tags: tag cookies, tag+2 barrier, tag+3 block data (pushed or resent),
+// tag+4 responses.
 func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, rcounts, rdispls []int64) {
-	if c.faulty() {
-		c.alltoallKnemFault(r, send, scounts, sdispls, recv, rcounts, rdispls)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	me := r.ID()
+	canFail := c.canFail()
 	// Declare the send buffer once and publish the cookie (the paper's
 	// out-of-band allgather of cookies) together with the displacements
 	// peers need to locate their blocks.
-	ck := c.mustCreate(r, send, knem.DirRead)
+	ck, ok := c.register(r, send, knem.DirRead, "alltoall")
 	for i := 0; i < p; i++ {
 		if i != me {
 			r.SendOOB(i, tag, a2aMsg{cookie: ck, sdispls: sdispls})
 		}
 	}
+	var sends, recvs []*mpi.Request
+	if !ok {
+		// Regionless: peers post matching receives when they see the zero
+		// cookie.
+		for i := 0; i < p; i++ {
+			if i != me {
+				sends = append(sends, r.Isend(i, tag+3, coll.VBlock(send, scounts, sdispls, i)))
+			}
+		}
+	}
 	r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, me), coll.VBlock(send, scounts, sdispls, me))
 	peers := make(map[int]a2aMsg, p-1)
 	useDMA := c.cfg.DMADepth > 0 && c.w.Machine().DMA[r.Core().Domain.ID] != nil
+	depth := c.cfg.DMADepth
+	if canFail {
+		depth = 0
+	}
 	var inflight []*knem.Op
 	// Fetch blocks in rotated order: step k reads from me+k, so at any
 	// instant each sender's region has one reader.
 	for step := 1; step < p; step++ {
 		peer := (me + step) % p
-		pm, ok := peers[peer]
-		for !ok {
+		pm, known := peers[peer]
+		for !known {
 			msg, from := r.RecvOOB(mpi.AnySource, tag)
 			peers[from] = msg.(a2aMsg)
-			pm, ok = peers[peer]
+			pm, known = peers[peer]
 		}
 		dst := coll.VBlock(recv, rcounts, rdispls, peer)
-		if useDMA {
-			op, err := c.w.Knem().CopyDMA(r.Proc(), r.Core(), []memsim.View{dst}, pm.cookie, pm.sdispls[me], knem.DirRead)
-			if err != nil {
-				panic(fmt.Sprintf("core: rank %d dma copy: %v", me, err))
-			}
-			inflight = append(inflight, op)
-			if len(inflight) > c.cfg.DMADepth {
-				inflight[0].Wait(r.Proc())
-				inflight = inflight[1:]
-			}
+		if pm.cookie == 0 {
+			// The peer pushes; no response is expected of us.
+			recvs = append(recvs, r.Irecv(peer, tag+3, dst))
 			continue
 		}
-		c.mustCopy(r, dst, pm.cookie, pm.sdispls[me], knem.DirRead)
+		var err error
+		if useDMA {
+			// The engine streams one block while the core sets up the
+			// next, up to depth transfers in flight. When copies can fail
+			// each transfer completes before the next, and an engine
+			// failure degrades to a kernel copy.
+			var op *knem.Op
+			op, err = c.w.Knem().CopyDMA(r.Proc(), r.Core(), []memsim.View{dst}, pm.cookie, pm.sdispls[me], knem.DirRead)
+			switch {
+			case err == nil:
+				inflight = append(inflight, op)
+				if len(inflight) > depth {
+					inflight[0].Wait(r.Proc())
+					inflight = inflight[1:]
+				}
+			case !canFail:
+				panic(fmt.Sprintf("core: rank %d dma copy: %v", me, err))
+			case err == knem.ErrDMA || err == knem.ErrNoDMA:
+				coll.NoteFallback(r, "dma-to-sync")
+				err = coll.TryCopy(r, dst, pm.cookie, pm.sdispls[me], knem.DirRead)
+			}
+		} else {
+			err = coll.TryCopy(r, dst, pm.cookie, pm.sdispls[me], knem.DirRead)
+		}
+		if err != nil {
+			recvs = append(recvs, r.Irecv(peer, tag+3, dst))
+			r.SendOOB(peer, tag+4, coll.Nack{})
+		} else if canFail {
+			r.SendOOB(peer, tag+4, coll.Ack{})
+		}
 	}
 	for _, op := range inflight {
 		op.Wait(r.Proc())
 	}
-	// Nobody may deregister while peers might still read (§V-C).
-	coll.Dissemination(r, tag+2)
-	c.mustDestroy(r, ck)
+	if !canFail {
+		// Nobody may deregister while peers might still read (§V-C).
+		coll.Dissemination(r, tag+2)
+		coll.Destroy(r, ck)
+		return
+	}
+	if ok {
+		// Every reader of our region responds exactly once; resend to the
+		// NACKers, then the region is safe to drop.
+		for _, nk := range coll.Collect(r, tag+4, p-1) {
+			coll.NoteResend(r, "alltoall")
+			sends = append(sends, r.Isend(nk.From, tag+3, coll.VBlock(send, scounts, sdispls, nk.From)))
+		}
+	}
+	r.Wait(append(sends, recvs...)...)
+	coll.Destroy(r, ck)
 }
 
 // ringAllgather resolves the Allgather algorithm for an n-byte block: a

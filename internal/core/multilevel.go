@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/coll"
 	"repro/internal/knem"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
@@ -99,34 +100,40 @@ func (c *Component) multiLevelRoles(root int) []bcastRole {
 const wholeBuffer = -1 // segReady.seg value meaning "read everything"
 
 // bcastMultiLevel runs the generic pipelined relay protocol over the
-// multi-level tree. Tags: tag = cookies, tag+1 = upward ACKs, tag+3 =
-// segment notifications; sources disambiguate levels (every rank only
-// receives from its own parent and children).
+// multi-level tree, with the degradations of the two-level pipeline:
+// whole-operation fallback when the root cannot register (relays pass the
+// verdict down), streaming relays when an interior registration fails, and
+// NACK-plus-remainder recovery for lost regions, with stale notifications
+// always consumed.
+//
+// Tags: tag cookies, tag+1 upward responses, tag+3 segment notifications,
+// tag+5 parent data (stream or resend); sources disambiguate levels (every
+// rank only receives from its own parent and children).
 func (c *Component) bcastMultiLevel(r *mpi.Rank, v memsim.View, root int) {
-	if c.faulty() {
-		c.bcastMultiLevelFault(r, v, root)
-		return
-	}
 	tag := r.CollTag()
 	me := r.ID()
 	seg := c.segSize(v.Len)
-	role := c.multiLevelRoles(root)[me]
+	roles := c.multiLevelRoles(root)
+	role := roles[me]
 
 	if role.parent == -1 && me != root {
 		panic("core: multilevel rank outside tree")
 	}
 
 	if me == root {
-		ck := c.mustCreate(r, v, knem.DirRead)
+		ck, ok := c.register(r, v, knem.DirRead, "bcast-multilevel")
 		for _, ch := range role.children {
-			r.SendOOB(ch, tag, c.ck(cookieMsg{cookie: ck, n: v.Len}))
+			r.SendOOB(ch, tag, c.ck(offer(ok, cookieMsg{cookie: ck, n: v.Len})))
+		}
+		if !ok {
+			c.fb.Bcast(r, v, root)
+			return
 		}
 		// The root's data is complete: leaves under it read in one copy,
 		// relays under it still pace themselves per segment so their own
 		// subtrees overlap with their reads.
-		rolesAll := c.multiLevelRoles(root)
 		for _, ch := range role.children {
-			if len(rolesAll[ch].children) == 0 {
+			if len(roles[ch].children) == 0 {
 				r.SendOOB(ch, tag+3, c.sg(wholeBuffer))
 				continue
 			}
@@ -136,56 +143,99 @@ func (c *Component) bcastMultiLevel(r *mpi.Rank, v memsim.View, root int) {
 				s++
 			})
 		}
-		c.finishRoot(r, ck, tag+1, len(role.children))
+		c.finishRoot(r, ck, v, tag+1, tag+5, len(role.children), "bcast-multilevel")
 		return
 	}
 
 	// Relay or leaf.
 	msg, _ := r.RecvOOB(role.parent, tag)
-	parentCk := c.cookieOf(msg).cookie
-
-	if len(role.children) == 0 {
-		// Leaf: whole-buffer read if the parent has everything, else
-		// follow the segment notifications.
-		first, _ := r.RecvOOB(role.parent, tag+3)
-		if c.segOf(first) == wholeBuffer {
-			c.mustCopy(r, v, parentCk, 0, knem.DirRead)
-			r.SendOOB(role.parent, tag+1, ackMsg{})
-			return
+	cm := c.cookieOf(msg)
+	if opFallback(cm) {
+		for _, ch := range role.children {
+			r.SendOOB(ch, tag, c.ck(cookieMsg{}))
 		}
-		s := 0
-		eachSegment(v.Len, seg, func(off, n int64) {
-			if s > 0 {
-				ready, _ := r.RecvOOB(role.parent, tag+3)
-				if c.segOf(ready) != s {
-					panic("core: multilevel segment out of order")
-				}
-			}
-			c.mustCopy(r, v.SubView(off, n), parentCk, off, knem.DirRead)
-			s++
-		})
-		r.SendOOB(role.parent, tag+1, ackMsg{})
+		c.fb.Bcast(r, v, root)
+		return
+	}
+	parentCk := cm.cookie
+	if len(role.children) == 0 {
+		c.mlLeaf(r, v, role.parent, parentCk, tag, seg)
 		return
 	}
 
-	ownCk := c.mustCreate(r, v, knem.DirRead)
+	// A relay without a region announces streaming mode (zero cookie,
+	// nonzero length) and pushes each segment point-to-point.
+	ownCk, haveRegion := c.register(r, v, knem.DirRead, "bcast-multilevel-relay")
 	for _, ch := range role.children {
 		r.SendOOB(ch, tag, c.ck(cookieMsg{cookie: ownCk, n: v.Len}))
 	}
+	parentStreams := parentCk == 0
+	parentOK := !parentStreams
+	var streamSends []*mpi.Request
 	s := 0
 	eachSegment(v.Len, seg, func(off, n int64) {
-		ready, _ := r.RecvOOB(role.parent, tag+3)
-		if c.segOf(ready) != s {
-			panic("core: multilevel segment out of order")
+		if parentStreams {
+			r.Recv(role.parent, tag+5, v.SubView(off, n))
+		} else {
+			ready, _ := r.RecvOOB(role.parent, tag+3)
+			if c.segOf(ready) != s {
+				panic("core: multilevel segment out of order")
+			}
+			if parentOK {
+				parentOK = c.pull(r, v, off, n, parentCk, role.parent, tag+1, tag+5)
+			}
 		}
-		c.mustCopy(r, v.SubView(off, n), parentCk, off, knem.DirRead)
 		for _, ch := range role.children {
-			r.SendOOB(ch, tag+3, c.sg(s))
+			if haveRegion {
+				r.SendOOB(ch, tag+3, c.sg(s))
+			} else {
+				streamSends = append(streamSends, r.Isend(ch, tag+5, v.SubView(off, n)))
+			}
 		}
 		s++
 	})
-	r.SendOOB(role.parent, tag+1, ackMsg{})
-	c.finishRoot(r, ownCk, tag+1, len(role.children))
+	r.Wait(streamSends...)
+	if parentOK {
+		r.SendOOB(role.parent, tag+1, coll.Ack{})
+	}
+	if haveRegion {
+		c.finishRoot(r, ownCk, v, tag+1, tag+5, len(role.children), "bcast-multilevel-relay")
+	}
+}
+
+// mlLeaf is the multi-level leaf: a whole-buffer read if the parent has
+// everything, else it follows the segment notifications. A streaming
+// parent (zero cookie) sends the segments point-to-point and collects no
+// response.
+func (c *Component) mlLeaf(r *mpi.Rank, v memsim.View, parent int, parentCk knem.Cookie, tag int, seg int64) {
+	if parentCk == 0 {
+		eachSegment(v.Len, seg, func(off, n int64) {
+			r.Recv(parent, tag+5, v.SubView(off, n))
+		})
+		return
+	}
+	first, _ := r.RecvOOB(parent, tag+3)
+	if c.segOf(first) == wholeBuffer {
+		c.access(r, v, parentCk, 0, knem.DirRead, parent, tag+1, tag+5)
+		return
+	}
+	alive := true
+	s := 0
+	eachSegment(v.Len, seg, func(off, n int64) {
+		if s > 0 {
+			ready, _ := r.RecvOOB(parent, tag+3)
+			if c.segOf(ready) != s {
+				panic("core: multilevel segment out of order")
+			}
+		}
+		if alive {
+			alive = c.pull(r, v, off, n, parentCk, parent, tag+1, tag+5)
+		}
+		s++
+	})
+	if alive {
+		r.SendOOB(parent, tag+1, coll.Ack{})
+	}
 }
 
 // eachSegment iterates [0, total) in seg-sized pieces.

@@ -149,6 +149,21 @@ func NewInjector(plan Plan, clock Clock, stats *trace.Stats, tl *trace.Timeline)
 // Plan returns the plan being executed.
 func (in *Injector) Plan() Plan { return in.plan }
 
+// CanFail reports whether the plan can make a KNEM call fail: a pinned-page
+// budget, create or copy failures, cookie invalidation, or DMA submission
+// failures. Stalls, slow links, stragglers and downed leaders change
+// timing or placement but never an outcome. Collective protocols run their
+// failure handshakes only when this holds, so an infallible plan runs
+// exactly the fault-free protocol. A nil injector cannot fail.
+func (in *Injector) CanFail() bool {
+	if in == nil {
+		return false
+	}
+	p := &in.plan
+	return p.PinnedPageBudget > 0 || p.CreateFailEvery > 0 || p.CreateTransient > 0 ||
+		p.CopyTransient > 0 || p.InvalidateEvery > 0 || p.DMAFailEvery > 0
+}
+
 // PinnedPages returns the pages currently accounted against the budget.
 func (in *Injector) PinnedPages() int64 { return in.pinned }
 

@@ -159,3 +159,31 @@ func TestTimelineSpans(t *testing.T) {
 		t.Fatalf("spans: %+v", tl.Spans)
 	}
 }
+
+func TestCanFail(t *testing.T) {
+	var none *Injector
+	if none.CanFail() {
+		t.Error("nil injector can fail")
+	}
+	failing := []Plan{
+		{PinnedPageBudget: 64}, {CreateFailEvery: 3}, {CreateTransient: 0.1},
+		{CopyTransient: 0.1}, {InvalidateEvery: 2}, {DMAFailEvery: 4},
+	}
+	for _, p := range failing {
+		if !NewInjector(p, nil, nil, nil).CanFail() {
+			t.Errorf("%+v: CanFail = false", p)
+		}
+	}
+	infallible := []Plan{
+		{DMAStallEvery: 2, DMAStall: 1e-6},
+		{LinkSlowdown: map[string]float64{"qpi": 0.5}},
+		{Straggler: map[int]float64{1: 1e-3}},
+		{LeaderDown: map[int]bool{0: true}},
+		{Seed: 9, MaxRetries: 5, RetryBackoff: 1e-6},
+	}
+	for _, p := range infallible {
+		if NewInjector(p, nil, nil, nil).CanFail() {
+			t.Errorf("%+v: CanFail = true", p)
+		}
+	}
+}
